@@ -34,9 +34,9 @@ bench-smoke:  ## quick executor sanity: parallel == serial, then q/s
 		-k "parallel or frozen or overlay or profiler" \
 		-s --benchmark-disable
 
-bench-parallel:  ## morsel-parallel scan smoke: rows identical, records speedup
+bench-parallel:  ## mapped-snapshot smoke: ship payload, cold attach, pool parity
 	REPRO_BENCH_OUT=out/bench \
-		pytest benchmarks/test_morsel_scan.py -s --benchmark-disable
+		pytest benchmarks/test_snapshot_ship.py -s --benchmark-disable
 
 bench-compare:  ## diff freshest BENCH_*.json vs the previous archived run
 	python benchmarks/bench_compare.py

@@ -250,11 +250,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _snapshot_config(args: argparse.Namespace) -> SnapshotConfig | None:
     """The run's :class:`SnapshotConfig`, or ``None`` when no snapshot
     flag was given (knobs then resolve from the environment)."""
-    if args.snapshot_provider is None and args.morsel_size is None:
+    if args.snapshot_provider is None:
         return None
-    return SnapshotConfig(
-        provider=args.snapshot_provider, morsel_size=args.morsel_size
-    )
+    return SnapshotConfig(provider=args.snapshot_provider)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -274,10 +272,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="how process workers obtain the read"
                              " snapshot (default: REPRO_SNAPSHOT_PROVIDER"
                              " or inline)")
-    parser.add_argument("--morsel-size", type=int, default=None,
-                        help="split heavy BI scans into morsels of this"
-                             " many rows across the pool (default:"
-                             " REPRO_MORSEL_SIZE or off)")
     parser.add_argument("--query", type=int, choices=range(1, 26),
                         help="run one BI query instead of a full test")
     parser.add_argument("--limit", type=int, default=10,

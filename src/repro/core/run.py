@@ -57,8 +57,8 @@ class RunRequest:
     #: Per-query deadline in seconds (``None`` = no deadline).
     timeout: float | None = None
     seed: int = 1234
-    #: How workers obtain graph state (provider, freeze, compaction,
-    #: morsel size); ``None`` = all knobs from environment/defaults.
+    #: How workers obtain graph state (provider, freeze, compaction);
+    #: ``None`` = all knobs from environment/defaults.
     snapshot: "SnapshotConfig | None" = None
     options: dict[str, Any] = field(default_factory=dict)
 

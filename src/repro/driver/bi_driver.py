@@ -40,7 +40,7 @@ from repro.core.run import RunReport
 from repro.datagen.delete_streams import DeleteOperation, build_delete_streams
 from repro.datagen.generator import SocialNetworkData
 from repro.datagen.update_streams import UpdateOperation, build_update_streams
-from repro.engine import merge_counters, reset_counters
+from repro.engine import merge_counters
 from repro.exec import (
     InlineSnapshot,
     SnapshotConfig,
@@ -56,7 +56,6 @@ from repro.obs.metrics import registry
 from repro.obs.spans import span
 from repro.params.curation import ParameterGenerator
 from repro.queries.bi import ALL_QUERIES
-from repro.queries.bi.morsels import MORSEL_PLANS
 from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
 from repro.util.dates import MILLIS_PER_DAY
@@ -171,49 +170,27 @@ def power_test(
     ``SnapshotConfig`` threaded from :class:`repro.core.run.RunRequest`):
     ``freeze`` whether the store is frozen up front (default on — the
     power test is a pure read phase, and results are identical either
-    way, the frozen differential suite enforces it); ``provider`` how
-    process workers obtain the snapshot (``inline`` fork/pickle, or the
-    zero-copy ``mmap_file``/``shared_memory`` mapped columns); and
-    ``morsel_size`` opts heavy scans into morsel-driven parallelism:
-    with process workers, each binding of a query with a registered
-    :data:`~repro.queries.bi.morsels.MORSEL_PLANS` entry is split into
-    fixed-size slab morsels dispatched across the pool and merged
-    deterministically in the parent — its runtime is the slowest morsel
-    plus the merge, its operator counters the morsels' merged tallies
-    (identical to the serial scan's).
+    way, the frozen differential suite enforces it), and ``provider``
+    how process workers obtain the snapshot (``inline`` fork/pickle, or
+    the zero-copy ``mmap_file``/``shared_memory`` mapped columns).
+    Each binding is one pool task.
     """
     config = _snapshot_config(snapshot)
     read_graph = freeze(graph) if config.freeze else graph
-    workers_n = resolve_workers(workers)
-    morselized = config.morsel_size is not None and workers_n > 1
     numbers = sorted(ALL_QUERIES)
     bindings = {n: params.bi(n, count=bindings_per_query) for n in numbers}
-    tasks: list[Task] = []
-    #: (number, binding, first task index, task count, plan | None)
-    entries: list[tuple] = []
-    for number in numbers:
-        plan = MORSEL_PLANS.get(number) if morselized else None
-        for binding in bindings[number]:
-            binding = tuple(binding)
-            if plan is not None:
-                assert config.morsel_size is not None
-                ranges = plan.ranges(read_graph, binding, config.morsel_size)
-                if len(ranges) > 1:
-                    start = len(tasks)
-                    for index, (kind, lo, hi) in enumerate(ranges):
-                        tasks.append(Task(
-                            len(tasks),
-                            "bi_morsel",
-                            (number, kind, lo, hi, index == 0, binding),
-                        ))
-                    entries.append((number, binding, start, len(ranges), plan))
-                    continue
-            tasks.append(Task(len(tasks), "bi", (number, binding)))
-            entries.append((number, binding, len(tasks) - 1, 1, None))
+    entries = [
+        (number, tuple(binding))
+        for number in numbers
+        for binding in bindings[number]
+    ]
+    tasks = [
+        Task(index, "bi", entry) for index, entry in enumerate(entries)
+    ]
     handle = provide_snapshot(read_graph, config=config)
     try:
         with span("power_test", kind="phase", queries=len(numbers),
-                  bindings=len(entries)):
+                  bindings=len(tasks)):
             pool = WorkerPool(
                 workers=workers, timeout=timeout, snapshot=handle,
             )
@@ -224,32 +201,12 @@ def power_test(
     metrics = registry()
     durations: dict[int, list[float]] = {n: [] for n in numbers}
     counter_shares: dict[int, list[dict]] = {n: [] for n in numbers}
-    for number, binding, start, count, plan in entries:
-        share = merged.outcomes[start:start + count]
-        if plan is None:
-            duration = share[0].duration
-        else:
-            # The binding's wall-clock under perfect overlap: its
-            # slowest morsel plus the parent-side merge.  The merge's
-            # own operator work (final hash aggregation, any person
-            # scan) tallies in the parent, so capture it like the pool
-            # captures each task's — the binding's merged counters then
-            # equal the serial query's exactly.
-            partials = [o.value for o in share if o.value is not None]
-            merge_start = time.perf_counter()
-            reset_counters()
-            plan.merge(read_graph, partials, binding)
-            merge_tally = reset_counters().as_dict(skip_zero=True)
-            duration = (
-                max(o.duration for o in share)
-                + time.perf_counter() - merge_start
-            )
-            counter_shares[number].append(merge_tally)
+    for (number, _binding), outcome in zip(entries, merged.outcomes):
         metrics.histogram(
             "repro_query_seconds", query=f"bi{number}"
-        ).observe(duration)
-        durations[number].append(duration)
-        counter_shares[number].extend(o.counters for o in share)
+        ).observe(outcome.duration)
+        durations[number].append(outcome.duration)
+        counter_shares[number].append(outcome.counters)
     runtimes = {
         n: sum(values) / len(values) for n, values in durations.items()
     }
@@ -262,28 +219,6 @@ def power_test(
         operator_stats=operator_stats,
         exec_stats=merged.stats_dict(),
     )
-
-
-def run_morselized(
-    graph: SocialGraph,
-    number: int,
-    binding: tuple,
-    pool: WorkerPool,
-    morsel_size: int = 65536,
-) -> list:
-    """Run one BI query morsel-parallel on ``pool`` and return its rows
-    (row-identical to the serial query; the pool's snapshot must hold
-    ``graph``).  Used by the parallel-scan benchmark and tests; the
-    power test inlines the same decomposition for its batched runs."""
-    plan = MORSEL_PLANS[number]
-    binding = tuple(binding)
-    ranges = plan.ranges(graph, binding, morsel_size)
-    merged = pool.run(
-        Task(index, "bi_morsel", (number, kind, lo, hi, index == 0, binding))
-        for index, (kind, lo, hi) in enumerate(ranges)
-    )
-    partials = [o.value for o in merged.outcomes if o.value is not None]
-    return plan.merge(graph, partials, binding)
 
 
 @dataclass

@@ -7,10 +7,15 @@ in-memory, so durability is layered on top:
 
 * every write (IU 1-8 / DEL 1-8) is appended to a **write-ahead log**
   and flushed before it is applied — the commit point;
-* a **checkpoint** (a full snapshot plus the WAL position it covers) is
-  taken every ``checkpoint_every`` writes;
+* a **checkpoint** (the WAL position it covers, then a full snapshot,
+  in one file) is taken every ``checkpoint_every`` writes.  It is
+  written to a temp file and published with ``os.replace``, so a crash
+  mid-checkpoint leaves the previous checkpoint intact and the
+  position can never disagree with the snapshot;
 * :func:`recover` rebuilds the store from the latest checkpoint and
-  replays the WAL tail.
+  replays the WAL tail.  A final WAL line without its terminating
+  newline is a torn write that was never acknowledged, so it is
+  dropped.
 
 :class:`DurableSut` exposes ``crash()`` for the §6.3 test: it drops the
 in-memory state, after which only recovery can resurrect the data.
@@ -19,6 +24,7 @@ in-memory state, after which only recovery can resurrect the data.
 from __future__ import annotations
 
 import base64
+import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +37,9 @@ from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
 
 WriteOperation = Union[UpdateOperation, DeleteOperation]
+
+#: The checkpoint file: the pickled WAL position, then the pickled graph.
+CHECKPOINT_FILE = "checkpoint.pickle"
 
 
 def _apply(graph: SocialGraph, op: WriteOperation) -> None:
@@ -71,8 +80,7 @@ class DurableSut:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.wal_path = self.directory / "wal.log"
-        self.checkpoint_path = self.directory / "checkpoint.pickle"
-        self.meta_path = self.directory / "checkpoint.meta"
+        self.checkpoint_path = self.directory / CHECKPOINT_FILE
         self.checkpoint_every = checkpoint_every
         self.graph: SocialGraph | None = graph
         # A fresh WAL: the initial checkpoint covers the loaded state.
@@ -92,12 +100,15 @@ class DurableSut:
             self.checkpoint()
 
     def checkpoint(self) -> Checkpoint:
-        """Snapshot the current state and record the WAL position."""
+        """Atomically replace the checkpoint with the current state and
+        the WAL position it covers."""
         if self.graph is None:
             raise RuntimeError("SUT has crashed; recover first")
-        with open(self.checkpoint_path, "wb") as handle:
+        staging = self.checkpoint_path.with_name(CHECKPOINT_FILE + ".tmp")
+        with open(staging, "wb") as handle:
+            pickle.dump(self._writes, handle)
             pickle.dump(self.graph, handle)
-        self.meta_path.write_text(str(self._writes))
+        os.replace(staging, self.checkpoint_path)
         return Checkpoint(self._writes, self.checkpoint_path)
 
     @property
@@ -114,20 +125,30 @@ class DurableSut:
             self._wal.close()
 
 
+def checkpoint_position(directory: Path | str) -> int:
+    """The number of WAL entries the latest checkpoint covers (reads
+    only the position, not the snapshot)."""
+    with open(Path(directory) / CHECKPOINT_FILE, "rb") as handle:
+        return pickle.load(handle)
+
+
 def recover(directory: Path | str) -> tuple[SocialGraph, int]:
     """Rebuild the store: latest checkpoint + WAL tail replay.
 
     Returns the recovered graph and the number of committed writes it
-    contains — every WAL entry, i.e. everything acknowledged before the
-    crash.
+    contains — every complete WAL entry, i.e. everything acknowledged
+    before the crash.  A torn final entry (no terminating newline) is
+    discarded.
     """
     directory = Path(directory)
-    with open(directory / "checkpoint.pickle", "rb") as handle:
+    with open(directory / CHECKPOINT_FILE, "rb") as handle:
+        covered: int = pickle.load(handle)
         graph: SocialGraph = pickle.load(handle)
-    covered = int((directory / "checkpoint.meta").read_text())
     replayed = 0
     with open(directory / "wal.log") as handle:
         for index, line in enumerate(handle):
+            if not line.endswith("\n"):
+                break  # torn tail: the write was never acknowledged
             if index < covered:
                 continue
             _apply(graph, _decode(line.strip()))

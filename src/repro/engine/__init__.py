@@ -9,11 +9,6 @@ from repro.engine.operators import (
     expand,
     group_agg,
     group_count,
-    morsel_ranges,
-    scan_forum_morsel,
-    scan_message_morsel,
-    scan_person_morsel,
-    scan_tag_morsel,
     scan_forum_posts,
     scan_forums,
     scan_likes,
@@ -38,12 +33,7 @@ __all__ = [
     "group_agg",
     "group_count",
     "merge_counters",
-    "morsel_ranges",
     "reset_counters",
-    "scan_forum_morsel",
-    "scan_message_morsel",
-    "scan_person_morsel",
-    "scan_tag_morsel",
     "scan_forum_posts",
     "scan_forums",
     "scan_likes",

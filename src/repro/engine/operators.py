@@ -54,11 +54,6 @@ from repro.util.dates import DateTime
 from repro.util.topk import TopK, sort_key
 
 __all__ = [
-    "morsel_ranges",
-    "scan_message_morsel",
-    "scan_forum_morsel",
-    "scan_person_morsel",
-    "scan_tag_morsel",
     "scan_messages",
     "scan_forum_posts",
     "scan_persons",
@@ -314,252 +309,6 @@ def scan_messages(
         _close_operator_span(span, produced)
 
 
-#: A morsel: one contiguous ``[lo, hi)`` row range of a frozen scan
-#: slab (``"post"``/``"comment"``), or the whole-scan fallback
-#: ``("*", 0, -1)`` when the graph has no clean frozen columns.
-Morsel = tuple[str, int, int]
-
-
-#: Entity slab kinds ``morsel_ranges`` can chunk besides the message
-#: date slabs: forum ordinals, person ordinals (optionally restricted
-#: to one Country's residents), and one tag's postings list.
-ENTITY_SLAB_KINDS: frozenset[str] = frozenset({"forum", "person", "tag"})
-
-
-def morsel_ranges(
-    graph: SocialGraph,
-    *,
-    window: tuple[DateTime | None, DateTime | None] | None = None,
-    kind: str | None = None,
-    morsel_size: int = 65536,
-    key: int | None = None,
-) -> list[Morsel]:
-    """Split a range-addressable scan into fixed-size morsels a pool
-    can dispatch independently.
-
-    ``kind`` selects the slab family.  ``None``/``"post"``/
-    ``"comment"`` chunk the :func:`scan_messages` date slabs: each
-    slab's ``window`` is bisected once and cut into ``[lo, hi)`` ranges
-    of at most ``morsel_size`` rows.  The entity kinds chunk ordinal
-    ranges instead: ``"forum"`` over the forum-ordinal column
-    (:func:`scan_forum_morsel`), ``"tag"`` over Tag ``key``'s postings
-    list (:func:`scan_tag_morsel`), and ``"person"`` over the
-    person-ordinal column — or, with ``key`` set, over Country
-    ``key``'s residents in sorted-id order (:func:`scan_person_morsel`).
-
-    On a live store or a dirty overlaid view no scan is
-    range-addressable, so one whole-scan fallback morsel
-    ``("*", 0, -1)`` is returned and every morsel operator degrades to
-    its serial counterpart.  Ranges are emitted in the serial frozen
-    scan's row order (post slab before comment slab, ordinals
-    ascending), so a merge in submission order is deterministic; an
-    empty domain yields one degenerate zero-row morsel to keep the
-    task-per-query accounting uniform.
-    """
-    if morsel_size < 1:
-        raise ValueError("morsel_size must be >= 1")
-    if not isinstance(graph, FrozenGraph) or graph.delta_overlay is not None:
-        return [("*", 0, -1)]
-    ranges: list[Morsel] = []
-    if kind in ENTITY_SLAB_KINDS:
-        if kind == "forum":
-            total = len(graph._forum_ids)
-        elif kind == "tag":
-            postings = () if key is None else graph._tag_objs.get(key, [])
-            total = len(postings)
-        elif key is None:
-            total = len(graph._person_ids)
-        else:
-            total = sum(1 for _ in graph.persons_in_country(key))
-        for base in range(0, total, morsel_size):
-            ranges.append((kind, base, min(base + morsel_size, total)))
-        return ranges or [(kind, 0, 0)]
-    start, end = _bounds(window)
-    kinds = ("post", "comment") if kind is None else (kind,)
-    for slab_kind in kinds:
-        ((_objs, dates),) = graph.date_slabs(slab_kind)
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_left(dates, end)
-        for base in range(lo, hi, morsel_size):
-            ranges.append((slab_kind, base, min(base + morsel_size, hi)))
-    if not ranges:
-        ranges.append((kinds[0], 0, 0))
-    return ranges
-
-
-def scan_message_morsel(
-    graph: SocialGraph,
-    slab_kind: str,
-    lo: int,
-    hi: int,
-    *,
-    window: tuple[DateTime | None, DateTime | None] | None = None,
-    language: "Iterable[str] | None" = None,
-    lead: bool = True,
-) -> Iterator[Message]:
-    """One morsel of a frozen date-window scan: rows ``[lo, hi)`` of
-    ``slab_kind``'s ``(creationDate, id)``-sorted slab, with the same
-    language pushdown as :func:`scan_messages`.
-
-    ``(slab_kind, lo, hi)`` must come from :func:`morsel_ranges` over
-    an equivalent snapshot and the same ``window`` — the range *is* the
-    window predicate, so no per-row date checks are repeated here.  The
-    ``("*", 0, -1)`` fallback morsel delegates to :func:`scan_messages`
-    wholesale.  ``lead`` marks the first morsel of a decomposed scan:
-    only the lead tallies the scan's ``index_scans`` counter, so the
-    summed counters of a morselized run stay independent of how many
-    morsels the range was cut into; every morsel counts its own
-    ``rows_scanned``.
-    """
-    if slab_kind == "*":
-        yield from scan_messages(graph, window=window, language=language)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("slab morsels require a frozen snapshot")
-    languages = None if language is None else frozenset(language)
-    stats = counters()
-    if lead:
-        stats.index_scans += 1
-    span = _operator_span(
-        "scan_messages",
-        access="frozen-morsel",
-        morsel=f"{slab_kind}[{lo}:{hi}]",
-    )
-    produced = 0
-    try:
-        if languages is None:
-            ((objs, _dates),) = graph.date_slabs(slab_kind)
-            if lo < hi:
-                produced += hi - lo
-                yield from objs[lo:hi]
-        else:
-            wanted = graph.language_codes(languages)
-            ((objs, _dates, codes),) = graph.language_slabs(slab_kind)
-            if lo < hi and wanted:
-                selected = list(
-                    compress(
-                        objs[lo:hi],
-                        map(wanted.__contains__, codes[lo:hi]),
-                    )
-                )
-                produced += len(selected)
-                yield from selected
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
-def scan_forum_morsel(
-    graph: SocialGraph, lo: int, hi: int, *, lead: bool = True
-) -> Iterator[Forum]:
-    """One morsel of the full-Forum scan: ordinals ``[lo, hi)`` of the
-    frozen forum-id column — the same order the serial
-    :func:`scan_forums` walks on a clean snapshot.  ``lead`` gates the
-    scan's once-per-scan ``full_scans`` tally; every morsel counts its
-    own rows.  The ``("*", 0, -1)`` fallback delegates wholesale."""
-    if lo == 0 and hi == -1:
-        yield from scan_forums(graph)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("entity morsels require a frozen snapshot")
-    stats = counters()
-    if lead:
-        stats.full_scans += 1
-    span = _operator_span(
-        "scan_forums", access="frozen-morsel", morsel=f"forum[{lo}:{hi}]"
-    )
-    produced = 0
-    forums = graph.forums
-    try:
-        for forum_id in graph._forum_ids[lo:hi]:
-            produced += 1
-            yield forums[forum_id]
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
-def scan_person_morsel(
-    graph: SocialGraph,
-    lo: int,
-    hi: int,
-    *,
-    country: int | None = None,
-    lead: bool = True,
-) -> Iterator[Person]:
-    """One morsel of a Person scan in canonical (sorted-id) order.
-
-    With ``country`` the slab is that Country's residents sorted by id
-    — the order :func:`scan_persons`' country pushdown scans — and the
-    lead tallies the pushdown's ``index_scans``; without, the frozen
-    person-id column and ``full_scans``.  The ``("*", 0, -1)`` fallback
-    delegates wholesale."""
-    if lo == 0 and hi == -1:
-        yield from scan_persons(graph, country=country)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("entity morsels require a frozen snapshot")
-    stats = counters()
-    persons = graph.persons
-    slab: Iterable[int]
-    if country is None:
-        if lead:
-            stats.full_scans += 1
-        slab = graph._person_ids[lo:hi]
-    else:
-        if lead:
-            stats.index_scans += 1
-        slab = sorted(graph.persons_in_country(country))[lo:hi]
-    span = _operator_span(
-        "scan_persons", access="frozen-morsel", morsel=f"person[{lo}:{hi}]"
-    )
-    produced = 0
-    try:
-        for person_id in slab:
-            produced += 1
-            yield persons[person_id]
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
-def scan_tag_morsel(
-    graph: SocialGraph,
-    tag_id: int,
-    lo: int,
-    hi: int,
-    *,
-    lead: bool = True,
-) -> Iterator[Message]:
-    """One morsel of a tag-postings scan: rows ``[lo, hi)`` of Tag
-    ``tag_id``'s ``(creationDate, id)``-sorted postings list — the
-    order serial ``scan_messages(tag=...)`` yields on a clean
-    snapshot.  ``lead`` gates the scan's ``index_scans`` tally (also on
-    a degenerate empty range — the serial scan counts the probe before
-    finding zero rows).  The ``("*", 0, -1)`` fallback delegates
-    wholesale."""
-    if lo == 0 and hi == -1:
-        yield from scan_messages(graph, tag=tag_id)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("entity morsels require a frozen snapshot")
-    stats = counters()
-    if lead:
-        stats.index_scans += 1
-    span = _operator_span(
-        "scan_messages", access="frozen-morsel", morsel=f"tag[{lo}:{hi}]"
-    )
-    produced = 0
-    try:
-        if lo < hi:
-            chunk = graph._tag_objs.get(tag_id, [])[lo:hi]
-            produced += len(chunk)
-            yield from chunk
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
 def _message_sort_key(message: Message) -> tuple[DateTime, int]:
     return (message.creation_date, message.id)
 
@@ -657,11 +406,10 @@ def scan_persons(
     per-query operator counters (and so R2 of ``repro.lint`` can hold
     the engine boundary).  The country pushdown (isLocatedIn City
     isPartOf Country, served by the place adjacency indexes — BI 21's
-    zombie hunt) yields residents in sorted-id order, the canonical
-    order :func:`scan_person_morsel` slices; the unrestricted scan
-    walks the person-ordinal column on a clean frozen snapshot for the
-    same reason.  Iteration order never changes rows — every BI/IC
-    sort is a total order (lint R4).
+    zombie hunt) yields residents in sorted-id order; the unrestricted
+    scan walks the sorted person-ordinal column on a clean frozen
+    snapshot.  Iteration order never changes rows — every BI/IC sort
+    is a total order (lint R4).
     """
     if country is not None:
         return _scan_persons_in_country(graph, country)
@@ -697,8 +445,8 @@ def _scan_persons_in_country(
 
 def scan_forums(graph: SocialGraph) -> Iterator[Forum]:
     """Scan every Forum, tallying the full-scan into the counters.  On
-    a clean frozen snapshot the scan walks the forum-ordinal column —
-    the canonical order :func:`scan_forum_morsel` slices."""
+    a clean frozen snapshot the scan walks the sorted forum-ordinal
+    column."""
     if isinstance(graph, FrozenGraph) and graph.delta_overlay is None:
         forums = graph.forums
         return _counted_scan(

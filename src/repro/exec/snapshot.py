@@ -4,11 +4,10 @@ Every execution backend — serial, thread, forked or spawned process —
 receives graph state through one typed surface:
 
 * :class:`SnapshotConfig` — the declarative knobs (provider, freeze,
-  compaction fraction, morsel size), threaded through ``RunRequest``
-  and both drivers.  Environment variables (``REPRO_SNAPSHOT_PROVIDER``,
-  ``REPRO_FROZEN``, ``REPRO_DELTA_COMPACT_FRACTION``,
-  ``REPRO_MORSEL_SIZE``) are documented fallbacks parsed in exactly one
-  place: :meth:`SnapshotConfig.resolved`.
+  compaction fraction), threaded through ``RunRequest`` and both
+  drivers.  Environment variables (``REPRO_SNAPSHOT_PROVIDER``,
+  ``REPRO_FROZEN``, ``REPRO_DELTA_COMPACT_FRACTION``) are documented
+  fallbacks parsed in exactly one place: :meth:`SnapshotConfig.resolved`.
 * :class:`SnapshotHandle` — the protocol every provider implements: a
   ``graph``, a ``context`` dict for task runners, ``ship()`` to cross a
   process boundary, ``bytes_mapped()`` and ``close()``.
@@ -59,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ENV_COMPACT_FRACTION",
     "ENV_FROZEN",
-    "ENV_MORSEL_SIZE",
     "ENV_PROVIDER",
     "PROVIDERS",
     "AttachedSnapshot",
@@ -77,7 +75,6 @@ __all__ = [
 ENV_PROVIDER = "REPRO_SNAPSHOT_PROVIDER"
 ENV_FROZEN = "REPRO_FROZEN"
 ENV_COMPACT_FRACTION = "REPRO_DELTA_COMPACT_FRACTION"
-ENV_MORSEL_SIZE = "REPRO_MORSEL_SIZE"
 
 #: Recognized snapshot providers, in documentation order.
 PROVIDERS = ("inline", "mmap_file", "shared_memory")
@@ -94,8 +91,6 @@ class SnapshotConfig:
     ``provider`` picks how process workers obtain graph state;
     ``freeze`` whether drivers freeze the live store for read phases;
     ``compact_fraction`` the delta-overlay compaction threshold;
-    ``morsel_size`` enables morsel-driven intra-query parallelism for
-    queries with a registered morsel plan (``None`` disables);
     ``directory`` where ``mmap_file`` snapshots are written (system
     temp dir when unset).
     """
@@ -103,7 +98,6 @@ class SnapshotConfig:
     provider: str | None = None
     freeze: bool | None = None
     compact_fraction: float | None = None
-    morsel_size: int | None = None
     directory: str | None = None
 
     def resolved(self) -> "SnapshotConfig":
@@ -130,19 +124,11 @@ class SnapshotConfig:
             fraction = 0.25 if raw is None or not raw.strip() else float(raw)
         if fraction < 0.0:
             raise ValueError("compact fraction must be >= 0")
-        morsel_size = self.morsel_size
-        if morsel_size is None:
-            raw = os.environ.get(ENV_MORSEL_SIZE)
-            if raw is not None and raw.strip():
-                morsel_size = int(raw)
-        if morsel_size is not None and morsel_size <= 0:
-            raise ValueError("morsel size must be positive")
         return replace(
             self,
             provider=provider,
             freeze=freeze,
             compact_fraction=fraction,
-            morsel_size=morsel_size,
         )
 
     def configuration_dict(self) -> dict[str, Any]:
@@ -152,7 +138,6 @@ class SnapshotConfig:
             "provider": resolved.provider,
             "freeze": resolved.freeze,
             "compact_fraction": resolved.compact_fraction,
-            "morsel_size": resolved.morsel_size,
         }
 
 

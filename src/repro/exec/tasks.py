@@ -186,37 +186,9 @@ def _run_call(graph: Any, context: dict, fn: Callable, args: tuple = ()) -> Any:
     return fn(*args)
 
 
-def _run_bi_morsel(
-    graph: Any,
-    context: dict,
-    number: int,
-    slab_kind: str,
-    lo: int,
-    hi: int,
-    lead: bool,
-    params: tuple,
-) -> Any:
-    """One morsel of a decomposed BI read: the query's partial
-    aggregate over rows ``[lo, hi)`` of one frozen scan slab.  The
-    driver merges the partials in submission order
-    (:mod:`repro.queries.bi.morsels`); ``lead`` marks the first morsel
-    of each scan so per-scan counters are tallied exactly once."""
-    from repro.queries.bi.morsels import MORSEL_PLANS
-
-    from repro.obs.metrics import registry
-
-    registry().counter(
-        "repro_morsel_tasks_total", query=f"bi{number}"
-    ).inc()
-    _tally_read_path(graph)
-    plan = MORSEL_PLANS[number]
-    return plan.partial(graph, slab_kind, lo, hi, lead, params)
-
-
 #: kind -> runner(graph, context, *payload).
 TASK_KINDS: dict[str, Callable[..., Any]] = {
     "bi": _run_bi,
-    "bi_morsel": _run_bi_morsel,
     "bi_throughput": _run_bi_throughput,
     "ic": _run_ic,
     "stream": _run_stream,

@@ -244,7 +244,6 @@ _HELP_TEXTS: dict[str, str] = {
     "repro_snapshot_bytes_mapped": "Column bytes served zero-copy.",
     "repro_snapshot_attaches_total": "Snapshot attach events.",
     "repro_snapshot_fallback_total": "Mapped-snapshot requests served inline.",
-    "repro_morsel_tasks_total": "Scan morsel tasks dispatched per query.",
 }
 
 _GENERIC_HELP = "repro benchmark telemetry series (docs/OBSERVABILITY.md)."

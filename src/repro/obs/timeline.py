@@ -3,7 +3,7 @@
 One :class:`ResourceTimeline` lives inside the sampling profiler
 (:mod:`repro.obs.prof`) and records, on every profiler tick, a fixed
 set of process-resource series plus a mirror of the registry's
-snapshot/delta/morsel gauges:
+snapshot/delta gauges:
 
 * ``cpu_seconds`` — cumulative process CPU time (``time.process_time``);
 * ``rss_bytes`` — resident set size (``/proc/self/statm``, with a
@@ -13,9 +13,9 @@ snapshot/delta/morsel gauges:
 * ``gc_pause_seconds_total`` — cumulative stop-the-world GC pause time,
   measured by a ``gc.callbacks`` hook while the timeline is open;
 * every registry series whose name starts with a mirrored prefix
-  (``repro_snapshot_``, ``repro_delta_``, ``repro_morsel_``,
-  ``repro_frozen_``), so memory-footprint and morsel-dispatch gauges
-  line up on the same clock as the profiler's stacks.
+  (``repro_snapshot_``, ``repro_delta_``, ``repro_frozen_``), so
+  memory-footprint and serving-path gauges line up on the same clock
+  as the profiler's stacks.
 
 Storage is a bounded ring per series (``capacity`` samples; the oldest
 fall off, counted in ``dropped``).  Timestamps use the tracer clock
@@ -63,7 +63,6 @@ FIXED_SERIES: tuple[str, ...] = (
 MIRRORED_PREFIXES: tuple[str, ...] = (
     "repro_snapshot_",
     "repro_delta_",
-    "repro_morsel_",
     "repro_frozen_",
 )
 

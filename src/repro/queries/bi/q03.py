@@ -55,9 +55,7 @@ def bi3(graph: SocialGraph, year: int, month: int) -> list[Bi3Row]:
     One scan over the union window, classifying each message into its
     month at the aggregation key — the months are contiguous, so the
     union scan sees exactly the rows of the two per-month scans at half
-    the scan cost, and the single ``(tag, month)`` hash aggregation is
-    the counter shape the morsel plan (:mod:`repro.queries.bi.morsels`)
-    reproduces exactly.
+    the scan cost, with a single ``(tag, month)`` hash aggregation.
     """
     window1, window2 = bi3_windows(year, month)
     split = window2[0]
@@ -70,8 +68,8 @@ def bi3(graph: SocialGraph, year: int, month: int) -> list[Bi3Row]:
     top = top_k(
         INFO.limit, key=lambda r: sort_key((r.diff, True), (r.tag_name, False))
     )
-    # Sorted tag ids fix the heap insertion order, so the morsel merge
-    # (which feeds the same sorted sequence) tallies identical
+    # Sorted tag ids fix the heap insertion order, so every graph
+    # representation tallies identical
     # heap_inserts/heap_rejections/heap_evictions.
     for tag_id in sorted({tag_id for tag_id, _ in counts}):
         c1 = counts.get((tag_id, False), 0)

@@ -45,8 +45,9 @@ def bi4_candidates(
     class_tags: set[int],
     country_id: int,
 ) -> Iterator[Bi4Row]:
-    """Qualifying rows among ``forums`` — shared with the BI 4 morsel
-    plan, which feeds forum-ordinal morsels through the same filter."""
+    """Qualifying rows among ``forums``: those whose moderator lives in
+    Country ``country_id``, with their count of Posts tagged from
+    ``class_tags`` (forums with none are dropped)."""
     for forum in forums:
         moderator = graph.persons.get(forum.moderator_id)
         if moderator is None:

@@ -44,8 +44,9 @@ def bi9_candidates(
     tags2: set[int],
     threshold: int,
 ) -> Iterator[Bi9Row]:
-    """Qualifying rows among ``forums`` — shared with the BI 9 morsel
-    plan, which feeds forum-ordinal morsels through the same filter."""
+    """Qualifying rows among ``forums``: those with more than
+    ``threshold`` members, with their counts of Posts tagged from
+    ``tags1`` and ``tags2`` (forums with neither are dropped)."""
     for forum in forums:
         if len(graph.members_of_forum(forum.id)) <= threshold:
             continue

@@ -48,9 +48,9 @@ class Bi21Row(NamedTuple):
 def bi21_scores(
     graph: SocialGraph, zombies: set[int], end_ts: DateTime
 ) -> Iterator[Bi21Row]:
-    """The like-ratio phase, shared with the BI 21 morsel plan's merge:
-    one row per zombie, yielded in sorted-zombie order (canonical across
-    graph representations, so heap activity is reproducible)."""
+    """The like-ratio phase: one row per zombie, yielded in
+    sorted-zombie order (canonical across graph representations, so
+    heap activity is reproducible)."""
     for zombie in sorted(zombies):
         zombie_likes = 0
         total_likes = 0

@@ -4,7 +4,8 @@ import pytest
 
 from repro.datagen.delete_streams import build_delete_streams
 from repro.datagen.update_streams import build_update_streams
-from repro.driver.recovery import DurableSut, recover
+from repro.driver import recovery
+from repro.driver.recovery import DurableSut, checkpoint_position, recover
 from repro.graph.cache import CachedQueryExecutor
 from repro.graph.store import SocialGraph
 from repro.queries.bi import bi6, bi12
@@ -90,6 +91,27 @@ class TestCachedQueryExecutor:
         assert executor.stats()["evictions"] == 5
 
 
+def _replayed(net, ops):
+    """The loaded graph with ``ops`` applied straight, no durability."""
+    graph = SocialGraph.from_data(net, until=net.cutoff)
+    for op in ops:
+        recovery._apply(graph, op)
+    return graph
+
+
+def _fingerprint(graph):
+    """Every entity id and relation endpoint pair, order-free."""
+    return (
+        sorted(graph.persons),
+        sorted(graph.forums),
+        sorted(graph.posts),
+        sorted(graph.comments),
+        sorted((e.person1, e.person2) for e in graph.knows_edges),
+        sorted((e.person_id, e.message_id) for e in graph.likes_edges),
+        sorted((m.forum_id, m.person_id) for m in graph.memberships),
+    )
+
+
 class TestDurability:
     @pytest.fixture
     def writes(self, small_net):
@@ -171,9 +193,70 @@ class TestDurability:
         )
         for op in writes[:120]:
             sut.apply(op)
-        covered = int((tmp_path / "checkpoint.meta").read_text())
+        covered = checkpoint_position(tmp_path)
         assert covered == 100  # last multiple of 50 reached
         sut.close()
+
+    def test_torn_wal_tail_dropped(self, small_net, writes, tmp_path):
+        """A final WAL record cut mid-line was never acknowledged:
+        recovery drops it and returns exactly the committed prefix."""
+        sut = DurableSut(
+            SocialGraph.from_data(small_net, until=small_net.cutoff),
+            tmp_path,
+            checkpoint_every=50,
+        )
+        for op in writes[:120]:
+            sut.apply(op)
+        sut.crash()
+        wal = tmp_path / "wal.log"
+        data = wal.read_bytes()
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        wal.write_bytes(data[: last_start + (len(data) - last_start) // 2])
+
+        recovered, recovered_writes = recover(tmp_path)
+        assert recovered_writes == 119
+        assert _fingerprint(recovered) == _fingerprint(
+            _replayed(small_net, writes[:119])
+        )
+
+    @pytest.mark.parametrize("failure", ["torn_dump", "before_replace"])
+    def test_interrupted_checkpoint_keeps_committed_state(
+        self, small_net, writes, tmp_path, monkeypatch, failure
+    ):
+        """A checkpoint that fails partway leaves the previous one in
+        force, so recovery neither loses nor re-applies WAL entries."""
+        sut = DurableSut(
+            SocialGraph.from_data(small_net, until=small_net.cutoff),
+            tmp_path,
+            checkpoint_every=50,
+        )
+        for op in writes[:130]:
+            sut.apply(op)
+        if failure == "torn_dump":
+            real_dumps = recovery.pickle.dumps
+
+            def dump(obj, handle):
+                data = real_dumps(obj)
+                handle.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+            monkeypatch.setattr(recovery.pickle, "dump", dump)
+        else:
+            def replace(src, dst):
+                raise OSError("crashed before publishing")
+
+            monkeypatch.setattr(recovery.os, "replace", replace)
+        with pytest.raises(OSError):
+            sut.checkpoint()
+        monkeypatch.undo()
+        sut.crash()
+
+        assert checkpoint_position(tmp_path) == 100
+        recovered, recovered_writes = recover(tmp_path)
+        assert recovered_writes == 130
+        assert _fingerprint(recovered) == _fingerprint(
+            _replayed(small_net, writes[:130])
+        )
 
     def test_rejects_bad_interval(self, small_net, tmp_path):
         with pytest.raises(ValueError):

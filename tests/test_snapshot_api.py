@@ -33,7 +33,6 @@ from repro.exec import (
 from repro.exec.snapshot import (
     ENV_COMPACT_FRACTION,
     ENV_FROZEN,
-    ENV_MORSEL_SIZE,
     ENV_PROVIDER,
     InlineSnapshot,
     MmapFileSnapshot,
@@ -49,8 +48,7 @@ from repro.obs.metrics import registry
 
 @pytest.fixture()
 def clean_env(monkeypatch):
-    for name in (ENV_PROVIDER, ENV_FROZEN, ENV_COMPACT_FRACTION,
-                 ENV_MORSEL_SIZE):
+    for name in (ENV_PROVIDER, ENV_FROZEN, ENV_COMPACT_FRACTION):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -61,18 +59,15 @@ class TestSnapshotConfig:
         assert resolved.provider == "inline"
         assert resolved.freeze is True
         assert resolved.compact_fraction == 0.25
-        assert resolved.morsel_size is None
 
     def test_environment_fallbacks(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "mmap_file")
         clean_env.setenv(ENV_FROZEN, "0")
         clean_env.setenv(ENV_COMPACT_FRACTION, "0.5")
-        clean_env.setenv(ENV_MORSEL_SIZE, "1024")
         resolved = SnapshotConfig().resolved()
         assert resolved.provider == "mmap_file"
         assert resolved.freeze is False
         assert resolved.compact_fraction == 0.5
-        assert resolved.morsel_size == 1024
 
     def test_explicit_knobs_beat_environment(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "shared_memory")
@@ -91,8 +86,6 @@ class TestSnapshotConfig:
     def test_invalid_numbers_rejected(self, clean_env):
         with pytest.raises(ValueError):
             SnapshotConfig(compact_fraction=-0.1).resolved()
-        with pytest.raises(ValueError):
-            SnapshotConfig(morsel_size=0).resolved()
 
     def test_configuration_dict(self, clean_env):
         document = SnapshotConfig(provider="mmap_file").configuration_dict()
@@ -100,7 +93,6 @@ class TestSnapshotConfig:
             "provider": "mmap_file",
             "freeze": True,
             "compact_fraction": 0.25,
-            "morsel_size": None,
         }
 
     def test_compact_fraction_resolver_delegates_here(self, clean_env):
