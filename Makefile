@@ -29,9 +29,8 @@ bench-smoke:  ## quick executor sanity: parallel == serial, then q/s
 	REPRO_BENCH_OUT=out/bench \
 		pytest benchmarks/test_driver_throughput.py \
 		benchmarks/test_frozen_snapshot.py \
-		benchmarks/test_delta_overlay.py \
 		benchmarks/test_profiler_overhead.py \
-		-k "parallel or frozen or overlay or profiler" \
+		-k "parallel or frozen or profiler" \
 		-s --benchmark-disable
 
 bench-parallel:  ## mapped-snapshot smoke: ship payload, cold attach, pool parity

@@ -187,8 +187,6 @@ class SocialNetworkBenchmark:
         include_deletes: bool = False,
         workers: int | None = None,
         timeout: float | None = None,
-        freeze_reads: bool = False,
-        snapshot: SnapshotConfig | None = None,
     ) -> DriverReport:
         """Run the Interactive workload: replay the update streams with
         frequency-interleaved complex reads and short-read sequences.
@@ -200,8 +198,6 @@ class SocialNetworkBenchmark:
         ``workers > 1`` parallelises consecutive complex reads on the
         :mod:`repro.exec` pool (flat-out runs only); the results log
         merges deterministically — identical content to a serial run.
-        ``freeze_reads`` additionally serves those parallel read flushes
-        from a refrozen columnar snapshot (see :meth:`Driver.run`).
         """
         updates = build_update_streams(self.network)
         if max_updates is not None:
@@ -219,10 +215,7 @@ class SocialNetworkBenchmark:
         }
         schedule = Scheduler(updates, frequencies, parameters, deletes).build()
         driver = Driver(self.graph, time_compression_ratio, seed=seed)
-        return driver.run(
-            schedule, workers=workers, timeout=timeout,
-            freeze_reads=freeze_reads, snapshot=snapshot
-        )
+        return driver.run(schedule, workers=workers, timeout=timeout)
 
     def run(self, request: RunRequest) -> RunReport:
         """Execute one benchmark run described by a :class:`RunRequest`.
@@ -251,12 +244,6 @@ class SocialNetworkBenchmark:
 
     def _dispatch(self, request: RunRequest) -> RunReport:
         opts = dict(request.options)
-        # One SnapshotConfig per run: ``request.snapshot`` wins; the
-        # legacy ``freeze`` option fills its freeze knob; everything
-        # still unset resolves against the environment inside each
-        # test.  The Interactive driver keeps its opt-in freeze default
-        # (reads interleave with writes).
-        config = request.snapshot or SnapshotConfig(freeze=opts.get("freeze"))
         if request.workload == "interactive":
             return self.run_driver(
                 time_compression_ratio=opts.get("time_compression_ratio", 0.0),
@@ -265,9 +252,13 @@ class SocialNetworkBenchmark:
                 include_deletes=opts.get("include_deletes", False),
                 workers=request.workers,
                 timeout=request.timeout,
-                freeze_reads=opts.get("freeze", False),
-                snapshot=config,
             )
+        # One SnapshotConfig for the pure read tests (power and
+        # concurrent): ``request.snapshot`` wins; the legacy ``freeze``
+        # option fills its freeze knob; everything still unset resolves
+        # against the environment inside each test.  The throughput
+        # test reads the live store between its write microbatches.
+        config = request.snapshot or SnapshotConfig(freeze=opts.get("freeze"))
         if request.mode == "power":
             return power_test(
                 self.graph,
@@ -290,7 +281,6 @@ class SocialNetworkBenchmark:
                 reads_per_batch=opts.get("reads_per_batch", 5),
                 workers=request.workers,
                 timeout=request.timeout,
-                snapshot=config,
             )
         return concurrent_read_test(
             self.graph,

@@ -57,7 +57,7 @@ class RunRequest:
     #: Per-query deadline in seconds (``None`` = no deadline).
     timeout: float | None = None
     seed: int = 1234
-    #: How workers obtain graph state (provider, freeze, compaction);
+    #: How workers obtain graph state (provider, freeze);
     #: ``None`` = all knobs from environment/defaults.
     snapshot: "SnapshotConfig | None" = None
     options: dict[str, Any] = field(default_factory=dict)

@@ -11,7 +11,7 @@ The BI workload is benchmarked in two modes:
 * **Throughput test** — simulation time is partitioned into write
   *microbatches* (one simulated day each, containing that day's inserts
   and deletes); after each batch the read mix runs against the updated
-  snapshot.  The score is the total number of operations per elapsed
+  live store.  The score is the total number of operations per elapsed
   second and the per-batch latency profile.
 
 All three tests execute through the :mod:`repro.exec` worker pool
@@ -50,7 +50,7 @@ from repro.exec import (
     resolve_workers,
 )
 from repro.graph.cache import CachedQueryExecutor
-from repro.graph.frozen import FreezeManager, freeze
+from repro.graph.frozen import freeze
 from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry
 from repro.obs.spans import span
@@ -423,7 +423,6 @@ def throughput_test(
     executor: CachedQueryExecutor | None = None,
     workers: int | None = None,
     timeout: float | None = None,
-    snapshot: SnapshotConfig | None = None,
 ) -> ThroughputTestResult:
     """Alternate write microbatches with blocks of BI reads.
 
@@ -438,18 +437,11 @@ def throughput_test(
     re-forking per batch.  Reads invalidated by deletes count as
     operations with a ``-1`` row marker, exactly as in a serial run.
 
-    ``snapshot.freeze`` (default on, like :func:`power_test`): the live
-    store stays the write path, and each read block runs against the
-    :class:`~repro.graph.frozen.FreezeManager`'s merge-on-read view —
-    one initial freeze, then a delta-overlaid snapshot that absorbs
-    each microbatch's writes, with a threshold-triggered compaction
-    refreeze once the overlay outgrows ``snapshot.compact_fraction`` of
-    the base snapshot (:mod:`repro.graph.delta`; default through
-    ``REPRO_DELTA_COMPACT_FRACTION``).  No per-microbatch refreezes:
-    overlay maintenance and any compactions are part of the measured
-    run, exactly like an incremental index refresh would be.  Pass
-    ``compact_fraction=0.0`` to restore the old refreeze-every-batch
-    behaviour (the benchmark baseline).
+    Reads run on the live store: no freeze, before or between
+    microbatches.  A snapshot would go stale with every batch, and
+    refreezing per batch — or merging the writes into a stale snapshot
+    at read time — costs more than the columnar layout saves on five
+    reads.
 
     With ``executor`` supplied (a :class:`CachedQueryExecutor` wrapping
     ``graph``), reads route through the inter-query result cache and
@@ -457,18 +449,12 @@ def throughput_test(
     :attr:`ThroughputTestResult.cache_stats` (CP-6.1).  Cached reads are
     serialized under a lock when parallel — the cache's bookkeeping is
     not thread safe — which keeps hit/miss counts identical to serial.
-    Cached reads execute on the executor's own (live) graph and count
-    as ``live_fallback`` in the ``repro_frozen_path_total`` metric.
+    Every read counts as ``live_fallback`` in the
+    ``repro_frozen_path_total`` metric.
     """
     if executor is not None and executor.graph is not graph:
         raise ValueError("executor must wrap the same graph")
-    config = _snapshot_config(snapshot)
     workers_n = resolve_workers(workers)
-    manager = (
-        FreezeManager(graph, compact_fraction=config.compact_fraction)
-        if config.freeze
-        else None
-    )
     context = {"executor": executor, "executor_lock": threading.Lock()}
     batch_seconds: list[float] = []
     read_seconds: list[float] = []
@@ -480,69 +466,64 @@ def throughput_test(
 
     metrics = registry()
     started = time.perf_counter()
-    try:
-        with span("throughput_test", kind="phase", microbatches=len(batches),
-                  reads_per_batch=reads_per_batch):
-            for batch_index, batch in enumerate(batches):
-                with span(f"batch[{batch_index}]", kind="operation",
-                          writes=batch.size):
-                    write_start = time.perf_counter()
-                    if executor is not None and batch.size:
-                        executor.invalidate()
-                    for insert in batch.inserts:
-                        try:
-                            ALL_UPDATES[insert.operation_id][0](
-                                graph, insert.params
-                            )
-                        except (KeyError, ValueError):
-                            pass  # write invalidated by an earlier delete
-                    for delete in batch.deletes:
-                        ALL_DELETES[delete.operation_id][0](graph, delete.params)
-                    batch_seconds.append(time.perf_counter() - write_start)
-                    metrics.histogram("repro_batch_write_seconds").observe(
-                        batch_seconds[-1]
-                    )
-                    operations += batch.size
-
-                    tasks = []
-                    for _ in range(reads_per_batch):
-                        number = numbers[read_cursor % len(numbers)]
-                        binding = bindings[number][
-                            read_cursor % len(bindings[number])
-                        ]
-                        tasks.append(
-                            Task(
-                                len(tasks),
-                                "bi_throughput",
-                                (number, tuple(binding)),
-                            )
+    with span("throughput_test", kind="phase", microbatches=len(batches),
+              reads_per_batch=reads_per_batch):
+        for batch_index, batch in enumerate(batches):
+            with span(f"batch[{batch_index}]", kind="operation",
+                      writes=batch.size):
+                write_start = time.perf_counter()
+                if executor is not None and batch.size:
+                    executor.invalidate()
+                for insert in batch.inserts:
+                    try:
+                        ALL_UPDATES[insert.operation_id][0](
+                            graph, insert.params
                         )
-                        read_cursor += 1
-                    read_graph = graph if manager is None else manager.frozen()
-                    # capture_spans=False: the serial (workers=1) and thread
-                    # (workers>1) read blocks must leave identically shaped
-                    # traces, and threads can only synthesize.
-                    # Always inline: the context's ``executor_lock`` is
-                    # unpicklable and thread workers share the parent's
-                    # address space anyway, so mapped providers would
-                    # buy nothing here.
-                    pool = WorkerPool(
-                        workers=workers_n,
-                        backend="thread" if workers_n > 1 else "serial",
-                        timeout=timeout,
-                        snapshot=InlineSnapshot(read_graph, context=context),
-                        capture_spans=False,
+                    except (KeyError, ValueError):
+                        pass  # write invalidated by an earlier delete
+                for delete in batch.deletes:
+                    ALL_DELETES[delete.operation_id][0](graph, delete.params)
+                batch_seconds.append(time.perf_counter() - write_start)
+                metrics.histogram("repro_batch_write_seconds").observe(
+                    batch_seconds[-1]
+                )
+                operations += batch.size
+
+                tasks = []
+                for _ in range(reads_per_batch):
+                    number = numbers[read_cursor % len(numbers)]
+                    binding = bindings[number][
+                        read_cursor % len(bindings[number])
+                    ]
+                    tasks.append(
+                        Task(
+                            len(tasks),
+                            "bi_throughput",
+                            (number, tuple(binding)),
+                        )
                     )
-                    block = pool.run(tasks)
-                    read_seconds.append(block.elapsed)
-                    metrics.histogram("repro_read_block_seconds").observe(
-                        block.elapsed
-                    )
-                    operations += len(tasks)
-                    _accumulate_exec_stats(exec_stats, block.stats_dict())
-    finally:
-        if manager is not None:
-            manager.detach()
+                    read_cursor += 1
+                # capture_spans=False: the serial (workers=1) and thread
+                # (workers>1) read blocks must leave identically shaped
+                # traces, and threads can only synthesize.
+                # Always inline: the context's ``executor_lock`` is
+                # unpicklable and thread workers share the parent's
+                # address space anyway, so mapped providers would
+                # buy nothing here.
+                pool = WorkerPool(
+                    workers=workers_n,
+                    backend="thread" if workers_n > 1 else "serial",
+                    timeout=timeout,
+                    snapshot=InlineSnapshot(graph, context=context),
+                    capture_spans=False,
+                )
+                block = pool.run(tasks)
+                read_seconds.append(block.elapsed)
+                metrics.histogram("repro_read_block_seconds").observe(
+                    block.elapsed
+                )
+                operations += len(tasks)
+                _accumulate_exec_stats(exec_stats, block.stats_dict())
     return ThroughputTestResult(
         batch_seconds=batch_seconds,
         read_seconds=read_seconds,

@@ -6,12 +6,15 @@ checkpoints happen at bounded intervals.  The reference SUT is
 in-memory, so durability is layered on top:
 
 * every write (IU 1-8 / DEL 1-8) is appended to a **write-ahead log**
-  and flushed before it is applied — the commit point;
+  and flushed to the operating system before it is applied — the
+  commit point.  The WAL is not fsynced, so a committed write survives
+  a process crash but not a power loss;
 * a **checkpoint** (the WAL position it covers, then a full snapshot,
   in one file) is taken every ``checkpoint_every`` writes.  It is
-  written to a temp file and published with ``os.replace``, so a crash
-  mid-checkpoint leaves the previous checkpoint intact and the
-  position can never disagree with the snapshot;
+  written to a temp file, fsynced, published with ``os.replace`` and
+  made durable by an fsync of the directory, so a crash mid-checkpoint
+  leaves the previous checkpoint intact and the position can never
+  disagree with the snapshot;
 * :func:`recover` rebuilds the store from the latest checkpoint and
   replays the WAL tail.  A final WAL line without its terminating
   newline is a torn write that was never acknowledged, so it is
@@ -108,7 +111,14 @@ class DurableSut:
         with open(staging, "wb") as handle:
             pickle.dump(self._writes, handle)
             pickle.dump(self.graph, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(staging, self.checkpoint_path)
+        directory = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         return Checkpoint(self._writes, self.checkpoint_path)
 
     @property

@@ -27,12 +27,10 @@ from repro.core.run import RunReport
 from repro.driver.scheduler import ScheduledOperation
 from repro.exec import (
     InlineSnapshot,
-    SnapshotConfig,
     Task,
     WorkerPool,
     resolve_workers,
 )
-from repro.graph.frozen import FreezeManager
 from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry, summarize_seconds
 from repro.obs.spans import span
@@ -205,8 +203,6 @@ class Driver:
         warmup_reads: int = 0,
         workers: int | None = None,
         timeout: float | None = None,
-        freeze_reads: bool = False,
-        snapshot: SnapshotConfig | None = None,
     ) -> DriverReport:
         """Execute the schedule.
 
@@ -226,22 +222,9 @@ class Driver:
         operation individually and stay serial.  ``timeout`` bounds each
         parallel read (soft deadline; see :class:`repro.exec.WorkerPool`).
 
-        ``freeze_reads`` (opt-in, parallel runs only) serves each flush
-        of buffered complex reads from the
-        :class:`~repro.graph.frozen.FreezeManager`'s merge-on-read
-        view: one initial :class:`~repro.graph.frozen.FrozenGraph`
-        freeze, then a delta-overlaid snapshot that absorbs the writes
-        in between (compacting — refreezing — only when the overlay
-        outgrows its threshold; see :mod:`repro.graph.delta`).  The
-        Interactive workload interleaves writes at operation
-        granularity, so freezing pays off only when the schedule has
-        long read runs — hence opt-in, unlike the BI tests.  Results
-        are identical either way.
-
-        ``snapshot`` (a :class:`repro.exec.SnapshotConfig`) supplies the
-        delta-compaction fraction for ``freeze_reads``; reads always go
-        through :class:`~repro.exec.InlineSnapshot` here — the pool is
-        thread-backed, so a mapped provider would buy nothing.
+        Reads run on the live store, through
+        :class:`~repro.exec.InlineSnapshot` — the pool is thread-backed,
+        so a mapped provider would buy nothing.
         """
         workers_n = resolve_workers(workers)
         if warmup_reads:
@@ -256,9 +239,7 @@ class Driver:
         with span("driver", kind="phase", operations=len(schedule),
                   tcr=self.tcr):
             if workers_n > 1 and self.tcr == 0 and schedule:
-                report = self._run_parallel(
-                    schedule, workers_n, timeout, freeze_reads, snapshot
-                )
+                report = self._run_parallel(schedule, workers_n, timeout)
             else:
                 report = self._run_paced(schedule)
         _record_log_metrics(report.log)
@@ -335,8 +316,6 @@ class Driver:
         schedule: list[ScheduledOperation],
         workers: int,
         timeout: float | None,
-        freeze_reads: bool = False,
-        snapshot: SnapshotConfig | None = None,
     ) -> DriverReport:
         """Flat-out replay with parallel complex reads.
 
@@ -350,26 +329,17 @@ class Driver:
         exec_stats: dict = {"workers": workers, "backend": "thread",
                             "tasks": 0, "failures": 0, "retries": 0,
                             "timeouts": 0, "worker_crashes": 0}
-        config = (snapshot or SnapshotConfig()).resolved()
-        manager = (
-            FreezeManager(
-                self.graph, compact_fraction=config.compact_fraction
-            )
-            if freeze_reads
-            else None
-        )
         run_start = time.perf_counter()
         buffer: list[ScheduledOperation] = []
 
         def flush() -> None:
             if not buffer:
                 return
-            read_graph = self.graph if manager is None else manager.frozen()
             pool = WorkerPool(
                 workers=min(workers, len(buffer)),
                 backend="thread" if len(buffer) > 1 else "serial",
                 timeout=timeout,
-                snapshot=InlineSnapshot(read_graph),
+                snapshot=InlineSnapshot(self.graph),
             )
             merged = pool.run(
                 Task(index, "ic", (op.number, tuple(op.params)))
@@ -395,17 +365,13 @@ class Driver:
                 self._run_short_sequences(op.number, result, log)
             buffer.clear()
 
-        try:
-            for op in schedule:
-                if op.kind == "complex":
-                    buffer.append(op)
-                    continue
-                flush()
-                self._apply_write(op, run_start, log)
+        for op in schedule:
+            if op.kind == "complex":
+                buffer.append(op)
+                continue
             flush()
-        finally:
-            if manager is not None:
-                manager.detach()
+            self._apply_write(op, run_start, log)
+        flush()
         return DriverReport(
             log=log,
             wall_seconds=time.perf_counter() - run_start,

@@ -37,17 +37,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from heapq import merge as _heap_merge
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar, cast
+from typing import Any, Callable, Iterable, Iterator, TypeVar, cast
 
 from repro.engine.stats import counters
 from repro.obs.spans import Span, tracer
 from repro.graph.frozen import FrozenGraph
 from repro.graph.store import SocialGraph
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.graph.delta import DeltaOverlay
 from repro.schema.entities import Forum, Message, Person, Post
 from repro.schema.relations import Likes
 from repro.util.dates import DateTime
@@ -196,34 +192,6 @@ def scan_messages(
     if (start is not None or end is not None) and isinstance(
         graph, FrozenGraph
     ):
-        overlay = graph.delta_overlay
-        if overlay is not None and overlay.messages_dirty(kind):
-            # Overlay merge path: per slab, bisect the base date column
-            # as usual, filter base rows through the tombstone set, and
-            # merge the date-windowed overlay inserts in
-            # ``(creationDate, id)`` order.  Same counters as the other
-            # window paths: one index scan, rows counted as produced.
-            stats.index_scans += 1
-            span = _operator_span(
-                "scan_messages", access="frozen-overlay-merge"
-            )
-            produced = 0
-            try:
-                for message in _merge_overlay_slabs(
-                    graph, overlay, kind, start, end
-                ):
-                    if (
-                        languages is not None
-                        and graph.language_of_message(message)
-                        not in languages
-                    ):
-                        continue
-                    produced += 1
-                    yield message
-            finally:
-                stats.rows_scanned += produced
-                _close_operator_span(span, produced)
-            return
         # Frozen fast path: bisect the int64 date columns and yield the
         # ``(creationDate, id)``-sorted object lists by contiguous slice
         # — no month-bucket walk, no boundary re-checks.  Rows are
@@ -309,36 +277,6 @@ def scan_messages(
         _close_operator_span(span, produced)
 
 
-def _message_sort_key(message: Message) -> tuple[DateTime, int]:
-    return (message.creation_date, message.id)
-
-
-def _merge_overlay_slabs(
-    graph: FrozenGraph,
-    overlay: "DeltaOverlay",
-    kind: str | None,
-    start: DateTime | None,
-    end: DateTime | None,
-) -> Iterator[Message]:
-    """The window rows of a delta-overlaid snapshot, per slab: the base
-    column slice minus tombstoned ids, merged with the overlay's
-    windowed inserts (both sides ``(creationDate, id)``-sorted)."""
-    kinds = ("post", "comment") if kind is None else (kind,)
-    for slab_kind in kinds:
-        ((objs, dates),) = graph.date_slabs(slab_kind)
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_left(dates, end)
-        base: Iterable[Message] = objs[lo:hi]
-        tombstones = overlay.message_tombstones(slab_kind)
-        if tombstones:
-            base = (m for m in base if m.id not in tombstones)
-        delta = overlay.window_messages(slab_kind, start, end)
-        if delta:
-            yield from _heap_merge(base, delta, key=_message_sort_key)
-        else:
-            yield from base
-
-
 def scan_forum_posts(
     graph: SocialGraph,
     forum_id: int,
@@ -407,13 +345,13 @@ def scan_persons(
     the engine boundary).  The country pushdown (isLocatedIn City
     isPartOf Country, served by the place adjacency indexes — BI 21's
     zombie hunt) yields residents in sorted-id order; the unrestricted
-    scan walks the sorted person-ordinal column on a clean frozen
+    scan walks the sorted person-ordinal column on a frozen
     snapshot.  Iteration order never changes rows — every BI/IC sort
     is a total order (lint R4).
     """
     if country is not None:
         return _scan_persons_in_country(graph, country)
-    if isinstance(graph, FrozenGraph) and graph.delta_overlay is None:
+    if isinstance(graph, FrozenGraph):
         persons = graph.persons
         return _counted_scan(
             "scan_persons", (persons[pid] for pid in graph._person_ids)
@@ -445,9 +383,9 @@ def _scan_persons_in_country(
 
 def scan_forums(graph: SocialGraph) -> Iterator[Forum]:
     """Scan every Forum, tallying the full-scan into the counters.  On
-    a clean frozen snapshot the scan walks the sorted forum-ordinal
+    a frozen snapshot the scan walks the sorted forum-ordinal
     column."""
-    if isinstance(graph, FrozenGraph) and graph.delta_overlay is None:
+    if isinstance(graph, FrozenGraph):
         forums = graph.forums
         return _counted_scan(
             "scan_forums", (forums[fid] for fid in graph._forum_ids)
@@ -506,32 +444,15 @@ def _expand_generic(
 def _expand_frozen_knows(
     graph: FrozenGraph, sources: Iterable[int]
 ) -> Iterator[tuple[int, int]]:
-    """The knows-CSR expand fast path (one offset slice per source).
-
-    On a delta-overlaid snapshot, sources whose adjacency the overlay
-    dirtied walk the live (shared, current) ``_friends`` row instead of
-    their stale CSR slice — per source, so clean sources keep the
-    columnar path.  Same ``edges_expanded`` tally either way.
-    """
+    """The knows-CSR expand fast path (one offset slice per source)."""
     stats = counters()
     span = _operator_span("expand", access="frozen-knows-csr")
     offsets = graph._knows_offsets
     targets = graph._knows_targets
     ordinal_of = graph._person_ord
-    overlay = graph.delta_overlay
-    dirty: frozenset[int] | set[int] = (
-        frozenset() if overlay is None else overlay.knows_dirty_persons
-    )
-    live_friends = graph._friends
     followed = 0
     try:
         for source in sources:
-            if source in dirty:
-                row = live_friends.get(source)
-                if row:
-                    followed += len(row)
-                    yield from zip(repeat(source, len(row)), row)
-                continue
             ordinal = ordinal_of.get(source)
             if ordinal is None:
                 continue

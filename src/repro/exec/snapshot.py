@@ -3,11 +3,11 @@
 Every execution backend — serial, thread, forked or spawned process —
 receives graph state through one typed surface:
 
-* :class:`SnapshotConfig` — the declarative knobs (provider, freeze,
-  compaction fraction), threaded through ``RunRequest`` and both
-  drivers.  Environment variables (``REPRO_SNAPSHOT_PROVIDER``,
-  ``REPRO_FROZEN``, ``REPRO_DELTA_COMPACT_FRACTION``) are documented
-  fallbacks parsed in exactly one place: :meth:`SnapshotConfig.resolved`.
+* :class:`SnapshotConfig` — the declarative knobs (provider, freeze),
+  threaded through ``RunRequest`` into the pure read tests (power and
+  concurrent).  Environment variables (``REPRO_SNAPSHOT_PROVIDER``,
+  ``REPRO_FROZEN``) are documented fallbacks parsed in exactly one
+  place: :meth:`SnapshotConfig.resolved`.
 * :class:`SnapshotHandle` — the protocol every provider implements: a
   ``graph``, a ``context`` dict for task runners, ``ship()`` to cross a
   process boundary, ``bytes_mapped()`` and ``close()``.
@@ -24,16 +24,12 @@ snapfile (format v2, :mod:`repro.graph.snapfile`): column families
 attach back as zero-copy ``memoryview`` casts over the shared buffer,
 and the file's entity section lets a worker rebuild the entity store
 from the same bytes — so ``ship()`` returns a token of buffer
-coordinates plus the overlay, with **no object-state pickle**.  An
-:class:`~repro.graph.delta.OverlaidGraph` ships its base's buffer and
-its current overlay (captured at ship time); the worker replays the
-overlay onto its rebuilt store, so post-freeze writes reach workers
-exactly as they would through fork.
+coordinates and the task context, with **no object-state pickle**.
 
 ``materialize()`` on the worker side reattaches the buffer (path or
-segment name), rebuilds the entity store from the entity section,
+segment name), rebuilds the entity store from the entity section and
 re-derives the frozen view around the mapped columns
-(``FrozenGraph._rebuilt``), and replays/re-wraps the overlay.
+(``FrozenGraph._rebuilt``).
 :func:`activate` / :func:`active` install the process-local handle
 task runners read.  The ``repro_snapshot_state_bytes`` gauge records
 both sides of the split: the entity section's size (``section=
@@ -56,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.store import SocialGraph
 
 __all__ = [
-    "ENV_COMPACT_FRACTION",
     "ENV_FROZEN",
     "ENV_PROVIDER",
     "PROVIDERS",
@@ -74,7 +69,6 @@ __all__ = [
 
 ENV_PROVIDER = "REPRO_SNAPSHOT_PROVIDER"
 ENV_FROZEN = "REPRO_FROZEN"
-ENV_COMPACT_FRACTION = "REPRO_DELTA_COMPACT_FRACTION"
 
 #: Recognized snapshot providers, in documentation order.
 PROVIDERS = ("inline", "mmap_file", "shared_memory")
@@ -90,14 +84,12 @@ class SnapshotConfig:
 
     ``provider`` picks how process workers obtain graph state;
     ``freeze`` whether drivers freeze the live store for read phases;
-    ``compact_fraction`` the delta-overlay compaction threshold;
     ``directory`` where ``mmap_file`` snapshots are written (system
     temp dir when unset).
     """
 
     provider: str | None = None
     freeze: bool | None = None
-    compact_fraction: float | None = None
     directory: str | None = None
 
     def resolved(self) -> "SnapshotConfig":
@@ -118,18 +110,7 @@ class SnapshotConfig:
             freeze = True if raw is None else (
                 raw.strip().lower() not in _FALSY
             )
-        fraction = self.compact_fraction
-        if fraction is None:
-            raw = os.environ.get(ENV_COMPACT_FRACTION)
-            fraction = 0.25 if raw is None or not raw.strip() else float(raw)
-        if fraction < 0.0:
-            raise ValueError("compact fraction must be >= 0")
-        return replace(
-            self,
-            provider=provider,
-            freeze=freeze,
-            compact_fraction=fraction,
-        )
+        return replace(self, provider=provider, freeze=freeze)
 
     def configuration_dict(self) -> dict[str, Any]:
         """The resolved knobs as report-friendly primitives."""
@@ -137,7 +118,6 @@ class SnapshotConfig:
         return {
             "provider": resolved.provider,
             "freeze": resolved.freeze,
-            "compact_fraction": resolved.compact_fraction,
         }
 
 
@@ -168,7 +148,7 @@ class SnapshotHandle(Protocol):
 class ShippedSnapshot:
     """The picklable form of a snapshot handle crossing a process
     boundary: provider-specific payload (the whole object graph for
-    inline; buffer coordinates plus the delta overlay for the mapped
+    inline; buffer coordinates and the task context for the mapped
     providers — entity state rebuilds from the mapped bytes)."""
 
     provider: str
@@ -211,16 +191,6 @@ class InlineSnapshot:
         return f"{type(self).__name__}(graph={self.graph!r})"
 
 
-def _split_overlay(graph: Any) -> tuple[Any, Any]:
-    """A frozen view split into (base snapshot, overlay-or-None) —
-    overlaid views map their base's columns and carry the overlay
-    beside the buffer."""
-    overlay = getattr(graph, "delta_overlay", None)
-    if overlay is not None:
-        return graph.base_snapshot, overlay
-    return graph, None
-
-
 def _publish_attach(provider: str, nbytes: int) -> None:
     metrics = registry()
     metrics.gauge("repro_snapshot_bytes_mapped", provider=provider).set(
@@ -238,20 +208,11 @@ def _publish_state_bytes(section: str, nbytes: int) -> None:
     )
 
 
-def _shipped_payload(
-    overlay: Any, context: dict[str, Any]
-) -> dict[str, Any]:
-    """The boundary-crossing remainder of a mapped handle, captured at
-    ship time: just the overlay and the task context.  Entity state
-    does not travel — the worker rebuilds it from the snapfile's entity
-    section and replays the overlay on top, so a dirty manager's
-    post-freeze writes reach workers exactly as they would through
-    fork."""
-    return {
-        "overlay": overlay,
-        "context": context,
-        "origin_pid": os.getpid(),
-    }
+def _shipped_payload(context: dict[str, Any]) -> dict[str, Any]:
+    """The boundary-crossing remainder of a mapped handle: just the
+    task context.  Entity state does not travel — the worker rebuilds
+    it from the snapfile's entity section."""
+    return {"context": context, "origin_pid": os.getpid()}
 
 
 def _ship_token(provider: str, payload: dict[str, Any]) -> ShippedSnapshot:
@@ -260,25 +221,17 @@ def _ship_token(provider: str, payload: dict[str, Any]) -> ShippedSnapshot:
     return token
 
 
-def _attach_graph(attached: Any, overlay: Any) -> Any:
+def _attach_graph(attached: Any) -> Any:
     """The worker-side graph for a mapped attach: rebuild the entity
-    store from the entity section, re-derive the frozen view around the
-    mapped columns, then replay the shipped overlay onto the store (the
-    frozen object columns must capture freeze-time state, so the replay
-    runs after ``_rebuilt``) and serve the merge view."""
+    store from the entity section and re-derive the frozen view around
+    the mapped columns."""
     from repro.graph import snapfile
     from repro.graph.frozen import FrozenGraph
 
     store = snapfile.rebuild_store(attached.entities)
-    graph = FrozenGraph._rebuilt(
+    return FrozenGraph._rebuilt(
         store, dict(attached.columns), attached.frozen_at_version
     )
-    if overlay is not None:
-        from repro.graph.delta import OverlaidGraph
-
-        overlay.replay_into(store)
-        return OverlaidGraph(graph, overlay)
-    return graph
 
 
 class AttachedSnapshot:
@@ -359,7 +312,7 @@ def _materialize_mapped(provider: str, payload: dict[str, Any]) -> Any:
         resource = segment
     else:  # pragma: no cover - ShippedSnapshot guards the provider
         raise ValueError(f"unknown shipped provider {provider!r}")
-    graph = _attach_graph(attached, payload["overlay"])
+    graph = _attach_graph(attached)
     _publish_attach(provider, nbytes)
     _publish_state_bytes("entities", len(attached.entities))
     return AttachedSnapshot(
@@ -383,14 +336,6 @@ def _parent_attached(base: Any, columns: dict[str, Any]) -> Any:
     return FrozenGraph._attached(snapfile.object_state(base), dict(columns))
 
 
-def _overlay_view(base: Any, overlay: Any) -> Any:
-    if overlay is None:
-        return base
-    from repro.graph.delta import OverlaidGraph
-
-    return OverlaidGraph(base, overlay)
-
-
 class MmapFileSnapshot:
     """Columns serialized once into a versioned snapshot file
     (:mod:`repro.graph.snapfile`) that the parent and every worker map
@@ -409,31 +354,25 @@ class MmapFileSnapshot:
     ):
         from repro.graph import snapfile
 
-        base, overlay = _split_overlay(graph)
         descriptor, path = tempfile.mkstemp(
             prefix="repro-snapshot-", suffix=".rsnb", dir=directory
         )
         try:
             with os.fdopen(descriptor, "wb") as stream:
-                snapfile.write_snapshot(base, stream, overlay=overlay)
+                snapfile.write_snapshot(graph, stream)
             self._mapped = snapfile.open_snapshot(path)
         except Exception:
             _unlink_quietly(path)
             raise
         self.path = path
         self._finalizer = weakref.finalize(self, _unlink_quietly, path)
-        self._base = base
-        self._source = graph
         self.context: dict[str, Any] = {} if context is None else context
-        self.graph = _overlay_view(
-            _parent_attached(base, self._mapped.columns), overlay
-        )
+        self.graph = _parent_attached(graph, self._mapped.columns)
         _publish_attach(self.provider, self._mapped.bytes_mapped)
         _publish_state_bytes("entities", len(self._mapped.attached.entities))
 
     def ship(self) -> ShippedSnapshot:
-        _, overlay = _split_overlay(self._source)
-        payload = _shipped_payload(overlay, self.context)
+        payload = _shipped_payload(self.context)
         payload["path"] = self.path
         return _ship_token(self.provider, payload)
 
@@ -472,8 +411,7 @@ class SharedMemorySnapshot:
 
         from repro.graph import snapfile
 
-        base, overlay = _split_overlay(graph)
-        data = snapfile.snapshot_bytes(base, overlay=overlay)
+        data = snapfile.snapshot_bytes(graph)
         self._segment = shared_memory.SharedMemory(
             create=True, size=max(len(data), 1)
         )
@@ -482,18 +420,13 @@ class SharedMemorySnapshot:
         self._finalizer = weakref.finalize(
             self, _release_segment, self._segment
         )
-        self._base = base
-        self._source = graph
         self.context: dict[str, Any] = {} if context is None else context
-        self.graph = _overlay_view(
-            _parent_attached(base, self._attached.columns), overlay
-        )
+        self.graph = _parent_attached(graph, self._attached.columns)
         _publish_attach(self.provider, self._attached.bytes_mapped)
         _publish_state_bytes("entities", len(self._attached.entities))
 
     def ship(self) -> ShippedSnapshot:
-        _, overlay = _split_overlay(self._source)
-        payload = _shipped_payload(overlay, self.context)
+        payload = _shipped_payload(self.context)
         payload["shm_name"] = self._segment.name
         return _ship_token(self.provider, payload)
 
@@ -513,10 +446,10 @@ def provide_snapshot(
 ) -> SnapshotHandle:
     """Build the configured provider's handle around ``graph``.
 
-    Mapped providers require a frozen view (clean or overlaid); a live
-    graph — or no graph — falls back to :class:`InlineSnapshot` and
-    bumps ``repro_snapshot_fallback_total`` so the degradation is
-    visible instead of silent.
+    Mapped providers require a frozen snapshot; a live graph — or no
+    graph — falls back to :class:`InlineSnapshot` and bumps
+    ``repro_snapshot_fallback_total`` so the degradation is visible
+    instead of silent.
     """
     resolved = (config or SnapshotConfig()).resolved()
     if resolved.provider == "inline" or graph is None:

@@ -88,23 +88,15 @@ class TaskOutcome:
 def _tally_read_path(graph: Any) -> None:
     """Count which storage layout actually served a read task.
 
-    ``repro_frozen_path_total{path=...}``: ``overlay_merge`` when the
-    task's graph is a delta-overlaid snapshot with outstanding writes,
-    ``frozen_hit`` for a clean frozen snapshot, ``live_fallback``
-    otherwise.  The driver-side split across the three is the cheapest
-    way to confirm what a mixed read/write run actually did — e.g. that
-    update microbatches kept reads on the overlay instead of forcing
-    refreezes or falling back to the live store.
+    ``repro_frozen_path_total{path=...}``: ``frozen_hit`` for a frozen
+    snapshot, ``live_fallback`` for the live store — e.g. the power
+    test's reads hit the snapshot, while the throughput test's reads,
+    which interleave with writes, run on the live store.
     """
     from repro.obs.metrics import registry
 
-    overlay = getattr(graph, "delta_overlay", None)
-    if overlay is not None and not overlay.is_empty():
-        path = "overlay_merge"
-    elif getattr(graph, "is_frozen", False):
-        path = "frozen_hit"
-    else:
-        path = "live_fallback"
+    frozen = getattr(graph, "is_frozen", False)
+    path = "frozen_hit" if frozen else "live_fallback"
     registry().counter("repro_frozen_path_total", path=path).inc()
 
 

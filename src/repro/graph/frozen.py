@@ -25,28 +25,22 @@ brings that layout to the reproduction without leaving pure Python:
 
 * :func:`freeze` — build a snapshot and publish per-column-family
   footprint gauges (``repro_frozen_bytes``) to the metrics registry;
-* :class:`FreezeManager` — the merge-on-read lifecycle the drivers use
-  around write batches: the live store remains the write path, a
-  registered write-hook records every mutation into a
-  :class:`~repro.graph.delta.DeltaOverlay`, and ``frozen()`` returns
-  the cached snapshot (overlay empty), an
-  :class:`~repro.graph.delta.OverlaidGraph` merge view (small
-  overlay), or a freshly compacted snapshot (overlay past the
-  threshold fraction of the base row count) — never a per-write
-  refreeze.  (The ``freeze`` knob default — ``REPRO_FROZEN`` — is
-  resolved by :meth:`repro.exec.snapshot.SnapshotConfig.resolved`, the
-  single environment-parse point.)
+* :class:`FreezeManager` — a snapshot cache keyed on the live store's
+  ``write_version``: ``frozen()`` returns the cached snapshot until the
+  store is written, then refreezes.  (The ``freeze`` knob default —
+  ``REPRO_FROZEN`` — is resolved by
+  :meth:`repro.exec.snapshot.SnapshotConfig.resolved`, the single
+  environment-parse point.)
 
 Because the snapshot shares the live store's tables, a bare
 :class:`FrozenGraph`'s validity contract is strict: **any write to the
 source store invalidates every snapshot built from it** — its columnar
 structures go stale even though the shared tables stay current.  All
-mutators raise on the snapshot itself.  :class:`FreezeManager` is what
-makes reads survive writes: the delta overlay records exactly which
-keys went stale, and the overlaid view serves those from the live
-indexes while everything else stays columnar.  Code holding a bare
-snapshot past a write without the manager is outside the contract
-(exactly like holding an iterator over a dict across a mutation).
+mutators raise on the snapshot itself.  Code holding a snapshot past a
+write is outside the contract (exactly like holding an iterator over a
+dict across a mutation); :class:`FreezeManager` refreezes instead, and
+read phases that interleave with writes (the BI throughput test) read
+the live store.
 
 Query code must not import this module (lint R2, slug ``frozen-import``)
 — queries receive whichever graph the driver passes and stay
@@ -59,12 +53,9 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.graph.store import SocialGraph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.graph.delta import DeltaOverlay
 from repro.obs.metrics import registry
 from repro.schema.entities import Comment, Message, Post
 from repro.util.dates import DateTime
@@ -130,12 +121,6 @@ class FrozenGraph(SocialGraph):
     """
 
     is_frozen = True
-
-    #: The outstanding write overlay, set only on
-    #: :class:`~repro.graph.delta.OverlaidGraph` instances; ``None``
-    #: means the columns are exact and the engine takes the clean
-    #: frozen fast paths unconditionally.
-    delta_overlay: "DeltaOverlay | None" = None
 
     # -- columns (annotated for the engine's strict-typed fast paths) ----
     _person_ids: array
@@ -230,9 +215,7 @@ class FrozenGraph(SocialGraph):
         identical to the parent's because the mapped orders are
         canonical: ``_person_ids``/``_forum_ids`` are sorted ids and
         message slabs are ``(creation_date, id)``-sorted, none of which
-        depend on original insertion order.  Must run *before* any
-        overlay replay mutates ``store`` — these lists capture
-        freeze-time state."""
+        depend on original insertion order."""
         graph = cls.__new__(cls)
         graph.__dict__.update(store.__dict__)
         graph.use_indexes = True
@@ -645,112 +628,34 @@ def freeze(graph: SocialGraph) -> FrozenGraph:
 
 
 class FreezeManager:
-    """The merge-on-read snapshot lifecycle around write batches.
+    """A snapshot cache keyed on the live store's ``write_version``.
 
-    Construction registers a write-hook on the live store that records
-    every mutation into a :class:`~repro.graph.delta.DeltaOverlay`.
-    ``frozen()`` then serves reads without per-write refreezes:
-
-    * no snapshot yet (or after ``invalidate()``) — freeze, clear the
-      overlay (``freezes`` += 1);
-    * overlay empty — the cached snapshot, unchanged.  Static-world
-      inserts (places, tags, organisations, study/work records) land
-      here even though ``write_version`` moved: no frozen column
-      depends on them;
-    * overlay outstanding rows above ``compact_fraction`` of the base
-      snapshot's row count — :meth:`compact` folds the overlay into a
-      fresh snapshot (``compactions`` += 1 and the
-      ``repro_delta_compactions_total`` counter);
-    * otherwise — a cached :class:`~repro.graph.delta.OverlaidGraph`
-      merge view over the snapshot and the (live, still-recording)
-      overlay.
-
-    Every ``frozen()`` call republishes the per-family
-    ``repro_delta_rows`` / ``repro_delta_tombstones`` gauges.
-    ``compact_fraction`` defaults through
-    :func:`repro.graph.delta.resolve_compact_fraction`
-    (``REPRO_DELTA_COMPACT_FRACTION``, 0.25); ``0.0`` restores the old
-    refreeze-on-any-write behaviour, which the delta-overlay benchmark
-    uses as its baseline.  ``detach()`` unregisters the write-hook —
-    drivers call it when their run ends so abandoned managers stop
-    recording.
+    ``frozen()`` returns the cached snapshot while the store has not
+    been written since it was built, and refreezes through
+    :meth:`compact` otherwise; ``freezes`` counts the builds.
     """
 
-    def __init__(
-        self, graph: SocialGraph, compact_fraction: float | None = None
-    ):
+    def __init__(self, graph: SocialGraph):
         if isinstance(graph, FrozenGraph):
             raise TypeError("FreezeManager wraps the live store")
-        from repro.graph.delta import DeltaOverlay, resolve_compact_fraction
-
         self.graph = graph
-        self.compact_fraction = resolve_compact_fraction(compact_fraction)
-        self.overlay = DeltaOverlay()
-        graph.register_delta_hook(self.overlay.record)
         self._snapshot: FrozenGraph | None = None
-        self._overlaid: FrozenGraph | None = None
-        self._base_rows = 0
         self.freezes = 0
-        self.compactions = 0
 
     def frozen(self) -> FrozenGraph:
         snapshot = self._snapshot
-        if snapshot is None:
-            return self._refreeze()
-        overlay = self.overlay
-        if overlay.is_empty():
-            return snapshot
-        self._publish_overlay_gauges()
-        if overlay.total_rows() > self.compact_fraction * max(
-            self._base_rows, 1
+        if snapshot is None or (
+            snapshot.frozen_at_version != self.graph.write_version
         ):
             return self.compact()
-        overlaid = self._overlaid
-        if overlaid is None:
-            from repro.graph.delta import OverlaidGraph
-
-            overlaid = self._overlaid = OverlaidGraph(snapshot, overlay)
-        return overlaid
-
-    def compact(self) -> FrozenGraph:
-        """Fold the outstanding overlay into a fresh snapshot."""
-        registry().counter("repro_delta_compactions_total").inc()
-        self.compactions += 1
-        return self._refreeze()
-
-    def _refreeze(self) -> FrozenGraph:
-        graph = self.graph
-        snapshot = self._snapshot = freeze(graph)
-        self._overlaid = None
-        self._base_rows = (
-            len(graph.persons) + len(graph.knows_edges)
-            + len(graph.likes_edges) + len(graph.memberships)
-            + len(graph.posts) + len(graph.comments) + len(graph.forums)
-        )
-        self.overlay.clear()
-        self.freezes += 1
-        self._publish_overlay_gauges()
         return snapshot
 
-    def _publish_overlay_gauges(self) -> None:
-        from repro.graph.delta import FAMILIES
-
-        metrics = registry()
-        overlay = self.overlay
-        for family in FAMILIES:
-            metrics.gauge("repro_delta_rows", family=family).set(
-                float(overlay.rows(family))
-            )
-            metrics.gauge("repro_delta_tombstones", family=family).set(
-                float(overlay.tombstone_count(family))
-            )
+    def compact(self) -> FrozenGraph:
+        """Freeze the live store and cache the snapshot."""
+        snapshot = self._snapshot = freeze(self.graph)
+        self.freezes += 1
+        return snapshot
 
     def invalidate(self) -> None:
-        """Drop the cached snapshot unconditionally; the next
-        ``frozen()`` rebuilds (a freeze, not a compaction)."""
+        """Drop the cached snapshot; the next ``frozen()`` refreezes."""
         self._snapshot = None
-        self._overlaid = None
-
-    def detach(self) -> None:
-        """Stop recording: unregister this manager's write-hook."""
-        self.graph.unregister_delta_hook(self.overlay.record)

@@ -146,30 +146,18 @@ MAPPED_ATTRS: frozenset[str] = frozenset(
     FLAT_COLUMNS + STRING_COLUMNS + KEYED_COLUMNS
 )
 
-#: Instance attributes that must never cross a ship boundary: the
-#: overlay travels explicitly beside the file, and ``base_snapshot``
-#: would drag a second copy of the column arrays into the pickle.
-_EXCLUDED_STATE: frozenset[str] = frozenset(
-    {"delta_overlay", "base_snapshot"}
-)
-
-
 class SnapshotFormatError(ValueError):
     """A snapshot buffer failed header or layout validation."""
 
 
 def object_state(graph: FrozenGraph) -> dict[str, Any]:
     """The picklable remainder of a frozen graph: its ``__dict__``
-    minus the mapped column families, with the live store's write-hook
-    list replaced by a fresh empty one (hooks reference the parent's
-    overlay recorder and must not fire — or travel — in a worker)."""
-    state = {
+    minus the mapped column families."""
+    return {
         key: value
         for key, value in graph.__dict__.items()
-        if key not in MAPPED_ATTRS and key not in _EXCLUDED_STATE
+        if key not in MAPPED_ATTRS
     }
-    state["_delta_hooks"] = []
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +188,7 @@ def _sections(graph: FrozenGraph) -> Iterator[tuple[str, array]]:
         yield from _keyed_sections(attr, getattr(graph, attr))
 
 
-def _entity_payload(graph: FrozenGraph, overlay: Any = None) -> bytes:
+def _entity_payload(graph: FrozenGraph) -> bytes:
     """The ``__entities__`` section: every entity/relation row as a
     compact JSON document, listed in :func:`rebuild_store`'s replay
     order.  Rows are written in the live store's own insertion order
@@ -208,31 +196,7 @@ def _entity_payload(graph: FrozenGraph, overlay: Any = None) -> bytes:
     mutators reproduces every secondary index — including adjacency-list
     orders, which queries observe through group-insertion tie-breaks —
     byte-for-byte.  The file fixes the order once; every worker that
-    attaches it rebuilds the identical store.
-
-    The frozen view shares the live store's tables by reference, so
-    under a dirty :class:`~repro.graph.frozen.FreezeManager` they hold
-    *current* state, not freeze-time state.  Passing the manager's
-    ``overlay`` restores the freeze-time section: rows the overlay
-    recorded as post-freeze inserts are skipped here (they replay from
-    the shipped overlay instead), and rows deleted since the freeze are
-    naturally absent — their tombstones make the absence unobservable
-    through the worker's merge view."""
-    if overlay is None:
-        skip: dict[str, Any] = {}
-    else:
-        skip = {
-            family: keys
-            for family, keys in overlay.inserts.items()
-            if keys
-        }
-    skip_persons = skip.get("persons", ())
-    skip_forums = skip.get("forums", ())
-    skip_posts = skip.get("posts", ())
-    skip_comments = skip.get("comments", ())
-    skip_knows = skip.get("knows", ())
-    skip_memberships = skip.get("memberships", ())
-    skip_likes = skip.get("likes", ())
+    attaches it rebuilds the identical store."""
     payload = {
         "places": [
             [p.id, p.name, p.url, p.type.value, p.part_of]
@@ -254,7 +218,6 @@ def _entity_payload(graph: FrozenGraph, overlay: Any = None) -> bytes:
              p.creation_date, p.location_ip, p.browser_used, p.city_id,
              p.emails, p.speaks, p.interests]
             for p in graph.persons.values()
-            if p.id not in skip_persons
         ],
         "study_at": [
             [r.person_id, r.university_id, r.class_year]
@@ -267,38 +230,31 @@ def _entity_payload(graph: FrozenGraph, overlay: Any = None) -> bytes:
         "knows": [
             [e.person1, e.person2, e.creation_date]
             for e in graph.knows_edges
-            if (min(e.person1, e.person2), max(e.person1, e.person2))
-            not in skip_knows
         ],
         "forums": [
             [f.id, f.title, f.creation_date, f.moderator_id,
              f.kind.value, f.tag_ids]
             for f in graph.forums.values()
-            if f.id not in skip_forums
         ],
         "memberships": [
             [m.forum_id, m.person_id, m.join_date]
             for m in graph.memberships
-            if (m.forum_id, m.person_id) not in skip_memberships
         ],
         "posts": [
             [p.id, p.creation_date, p.location_ip, p.browser_used,
              p.content, p.length, p.creator_id, p.forum_id, p.country_id,
              p.language, p.image_file, p.tag_ids]
             for p in graph.posts.values()
-            if p.id not in skip_posts
         ],
         "comments": [
             [c.id, c.creation_date, c.location_ip, c.browser_used,
              c.content, c.length, c.creator_id, c.country_id,
              c.reply_of_post, c.reply_of_comment, c.tag_ids]
             for c in graph.comments.values()
-            if c.id not in skip_comments
         ],
         "likes": [
             [e.person_id, e.message_id, e.creation_date, e.is_post]
             for e in graph.likes_edges
-            if (e.person_id, e.message_id) not in skip_likes
         ],
     }
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
@@ -310,7 +266,7 @@ def rebuild_store(data: Any) -> SocialGraph:
     ``SocialGraph.from_data`` order (dimension tables, persons,
     person relations, forums, memberships, messages, likes) — so every
     secondary index is rebuilt by the same code path that built the
-    parent's, and a shipped overlay can keep replaying writes on top."""
+    parent's."""
     payload = json.loads(bytes(data))
     graph = SocialGraph()
     for row in payload["places"]:
@@ -350,24 +306,14 @@ def rebuild_store(data: Any) -> SocialGraph:
     return graph
 
 
-def write_snapshot(
-    graph: FrozenGraph, stream: BinaryIO, *, overlay: Any = None
-) -> int:
+def write_snapshot(graph: FrozenGraph, stream: BinaryIO) -> int:
     """Serialize ``graph``'s column families plus the entity section
     into ``stream`` (format v2); returns the number of section bytes
-    written (the size a reader will map, excluding header and TOC).
-    ``overlay`` (the owning manager's delta overlay, when the base is
-    serialized under a dirty manager) keeps post-freeze inserts out of
-    the entity section — see :func:`_entity_payload`."""
-    if graph.delta_overlay is not None:
-        raise ValueError(
-            "cannot serialize an overlaid view; write its base_snapshot "
-            "and carry the overlay beside the file"
-        )
+    written (the size a reader will map, excluding header and TOC)."""
     sections: list[dict[str, Any]] = []
     offset = HEADER_SIZE
     stream.write(b"\0" * HEADER_SIZE)  # back-patched below
-    entity_data = _entity_payload(graph, overlay)
+    entity_data = _entity_payload(graph)
     payloads: Iterator[tuple[str, str, int, int, bytes]] = iter(
         [
             *(
@@ -414,13 +360,13 @@ def write_snapshot(
     return sum(section["nbytes"] for section in sections)
 
 
-def snapshot_bytes(graph: FrozenGraph, *, overlay: Any = None) -> bytes:
+def snapshot_bytes(graph: FrozenGraph) -> bytes:
     """The snapshot serialized into one in-memory blob (the
     shared-memory provider copies this into its segment)."""
     import io
 
     buffer = io.BytesIO()
-    write_snapshot(graph, buffer, overlay=overlay)
+    write_snapshot(graph, buffer)
     return buffer.getvalue()
 
 

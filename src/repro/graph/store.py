@@ -210,40 +210,11 @@ class SocialGraph:
         self._member_pos: dict[tuple[int, int], list[int]] = {}
         self._study_pos: dict[int, list[int]] = {}
         self._work_pos: dict[int, list[int]] = {}
-        #: Delta write-hooks (``repro.graph.delta``): each registered
-        #: callable receives one ``(family, op, key, entity)`` event per
-        #: logical row a mutator touches.  Empty (zero-cost) unless a
-        #: FreezeManager is attached.
-        self._delta_hooks: list = []
 
         # Name lookups (query parameters are names for places/tags/classes).
         self._place_by_name: dict[tuple[str, PlaceType], int] = {}
         self._tag_by_name: dict[str, int] = {}
         self._tagclass_by_name: dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # Delta write-hooks
-    # ------------------------------------------------------------------
-
-    def register_delta_hook(self, hook) -> None:
-        """Attach a write-hook called as ``hook(family, op, key,
-        entity)`` for every dynamic-family row a mutator touches (the
-        :class:`repro.graph.delta.DeltaOverlay` record feed).  Static
-        entities (places, organisations, tag classes, tags) and the
-        study/work records emit no events: no frozen column depends on
-        them — their accessors read the shared live tables."""
-        self._delta_hooks.append(hook)
-
-    def unregister_delta_hook(self, hook) -> None:
-        """Detach a previously registered write-hook (no-op if absent)."""
-        try:
-            self._delta_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    def _record_delta(self, family: str, op: str, key, entity=None) -> None:
-        for hook in self._delta_hooks:
-            hook(family, op, key, entity)
 
     # ------------------------------------------------------------------
     # Loading
@@ -369,8 +340,6 @@ class SocialGraph:
         self._persons_in_city[person.city_id].append(person.id)
         for tag_id in person.interests:
             self._persons_interested[tag_id].append(person.id)
-        if self._delta_hooks:
-            self._record_delta("persons", "insert", person.id, person)
 
     def add_study_at(self, record: StudyAt) -> None:
         self.write_version += 1
@@ -394,13 +363,6 @@ class SocialGraph:
         self.knows_edges.append(edge)
         self._friends[edge.person1][edge.person2] = edge.creation_date
         self._friends[edge.person2][edge.person1] = edge.creation_date
-        if self._delta_hooks:
-            self._record_delta(
-                "knows", "insert",
-                (min(edge.person1, edge.person2),
-                 max(edge.person1, edge.person2)),
-                edge,
-            )
 
     def add_forum(self, forum: Forum) -> None:
         if forum.id in self.forums:
@@ -410,8 +372,6 @@ class SocialGraph:
         self._moderated_forums[forum.moderator_id].append(forum)
         for tag_id in forum.tag_ids:
             self._forums_with_tag[tag_id].append(forum.id)
-        if self._delta_hooks:
-            self._record_delta("forums", "insert", forum.id, forum)
 
     def add_membership(self, membership: HasMember) -> None:
         self.write_version += 1
@@ -421,11 +381,6 @@ class SocialGraph:
         self.memberships.append(membership)
         self._forums_of_member[membership.person_id].append(membership)
         self._members_of_forum[membership.forum_id].append(membership)
-        if self._delta_hooks:
-            self._record_delta(
-                "memberships", "insert",
-                (membership.forum_id, membership.person_id), membership,
-            )
 
     def _index_message(self, message: Message) -> None:
         """Maintain the secondary indexes for a new Post or Comment."""
@@ -466,8 +421,6 @@ class SocialGraph:
         insort(self._forum_posts_by_date[post.forum_id],
                (post.creation_date, post.id))
         self._index_message(post)
-        if self._delta_hooks:
-            self._record_delta("posts", "insert", post.id, post)
 
     def add_comment(self, comment: Comment) -> None:
         if comment.id in self.posts or comment.id in self.comments:
@@ -482,8 +435,6 @@ class SocialGraph:
         )
         self._replies_of[parent].append(comment)
         self._index_message(comment)
-        if self._delta_hooks:
-            self._record_delta("comments", "insert", comment.id, comment)
 
     def add_like(self, like: Likes) -> None:
         self.write_version += 1
@@ -493,10 +444,6 @@ class SocialGraph:
         self.likes_edges.append(like)
         self._likes_of_message[like.message_id].append(like)
         self._likes_by_person[like.person_id].append(like)
-        if self._delta_hooks:
-            self._record_delta(
-                "likes", "insert", (like.person_id, like.message_id), like
-            )
 
     # ------------------------------------------------------------------
     # Dynamic deletes (the DEL operations route through these).
@@ -529,10 +476,6 @@ class SocialGraph:
             )
             self._likes_of_message[message_id].remove(like)
             self._likes_by_person[person_id].remove(like)
-            if self._delta_hooks:
-                self._record_delta(
-                    "likes", "delete", (person_id, message_id), like
-                )
 
     def delete_knows(self, person1: int, person2: int) -> None:
         """Remove a friendship edge (no-op if absent).
@@ -553,8 +496,6 @@ class SocialGraph:
         if position < len(edges):
             edges[position] = moved
             self._knows_pos[(moved.person1, moved.person2)] = position
-        if self._delta_hooks:
-            self._record_delta("knows", "delete", (a, b))
 
     def delete_membership(self, forum_id: int, person_id: int) -> None:
         """Remove a hasMember edge (no-op if absent).
@@ -575,10 +516,6 @@ class SocialGraph:
             )
             self._members_of_forum[forum_id].remove(membership)
             self._forums_of_member[person_id].remove(membership)
-            if self._delta_hooks:
-                self._record_delta(
-                    "memberships", "delete", (forum_id, person_id), membership
-                )
 
     def _delete_message_likes(self, message_id: int) -> None:
         for like in self._likes_of_message.pop(message_id, []):
@@ -589,11 +526,6 @@ class SocialGraph:
             bucket = self._likes_by_person.get(like.person_id)
             if bucket and like in bucket:
                 bucket.remove(like)
-            if self._delta_hooks:
-                self._record_delta(
-                    "likes", "delete",
-                    (like.person_id, like.message_id), like,
-                )
 
     def delete_comment(self, comment_id: int) -> None:
         """Delete a Comment, its likes, and its reply subtree.
@@ -622,8 +554,6 @@ class SocialGraph:
             self._comments_by_creator[node.creator_id].remove(node)
             self._unindex_message(node)
             del self.comments[node.id]
-            if self._delta_hooks:
-                self._record_delta("comments", "delete", node.id, node)
 
     def delete_post(self, post_id: int) -> None:
         """Delete a Post, its likes, and its whole thread."""
@@ -643,8 +573,6 @@ class SocialGraph:
             del dated[index]
         self._unindex_message(post)
         del self.posts[post_id]
-        if self._delta_hooks:
-            self._record_delta("posts", "delete", post_id, post)
 
     def delete_forum(self, forum_id: int) -> None:
         """Delete a Forum with its posts (cascading) and memberships."""
@@ -662,19 +590,12 @@ class SocialGraph:
                 (forum_id, membership.person_id), _member_key, membership,
             )
             self._forums_of_member[membership.person_id].remove(membership)
-            if self._delta_hooks:
-                self._record_delta(
-                    "memberships", "delete",
-                    (forum_id, membership.person_id), membership,
-                )
         moderated = self._moderated_forums.get(forum.moderator_id)
         if moderated and forum in moderated:
             moderated.remove(forum)
         for tag_id in forum.tag_ids:
             self._forums_with_tag[tag_id].remove(forum_id)
         del self.forums[forum_id]
-        if self._delta_hooks:
-            self._record_delta("forums", "delete", forum_id, forum)
 
     def delete_person(self, person_id: int) -> None:
         """Delete a Person and everything anchored on them.
@@ -724,8 +645,6 @@ class SocialGraph:
         for tag_id in person.interests:
             self._persons_interested[tag_id].remove(person_id)
         del self.persons[person_id]
-        if self._delta_hooks:
-            self._record_delta("persons", "delete", person_id, person)
 
     # ------------------------------------------------------------------
     # Lookups — entity access

@@ -1,9 +1,9 @@
 """R6 — snapshot-aliasing discipline in ``repro/graph/``.
 
-``FrozenGraph.__init__`` adopts the live store's ``__dict__`` wholesale
-and ``OverlaidGraph`` adopts the base snapshot's, so every entity table,
-relation list and secondary index is shared *by reference* across the
-live store and all of its frozen/overlay views.  Two things must
+``FrozenGraph.__init__`` adopts the live store's ``__dict__``
+wholesale, so every entity table, relation list and secondary index is
+shared *by reference* across the live store and all of its frozen
+views.  Two things must
 therefore never happen outside construction:
 
 * ``table-rebind`` — a graph-view class (or helper function) rebinding
@@ -12,10 +12,10 @@ therefore never happen outside construction:
   assigned over the attribute).  The views keep the *old* object and
   silently fork from the live store.  In-place mutation (``append``,
   ``del``, swap-remove, ``+=``) is the sanctioned write path.
-* ``frozen-mutation`` — a frozen/overlay view mutating an adopted base
-  column or table (directly or through a local alias): snapshots are
-  immutable after construction; writes go to the live store and reach
-  readers through the delta overlay.
+* ``frozen-mutation`` — a frozen view mutating an adopted column or
+  table (directly or through a local alias): snapshots are immutable
+  after construction; writes go to the live store, and the next
+  freeze picks them up.
 
 The rule is flow-sensitive (see :mod:`repro.lint.flow`): a write-back of
 the *same* object (``rows = self.likes_edges; rows.remove(x);
@@ -269,7 +269,7 @@ def _scan_function(
                 RULE,
                 "table-rebind",
                 f"setattr rebinds aliased table "
-                f"{stmt.value.args[1].value!r}; frozen/overlay views share "
+                f"{stmt.value.args[1].value!r}; frozen views share "
                 "it by reference — mutate it in place instead",
             )
         if frozen_view:
@@ -312,7 +312,7 @@ def _check_rebind(
         RULE,
         "table-rebind",
         f"rebinds aliased table '{target.attr}' "
-        "(frozen/overlay views share it by reference); mutate it in "
+        "(frozen views share it by reference); mutate it in "
         "place — append/del/swap-remove — instead of assigning a new "
         "container",
     )
@@ -329,7 +329,7 @@ def _flag_if_aliased(
             RULE,
             "table-rebind",
             f"rebinds aliased table '{target.attr}' via unpacking; "
-            "frozen/overlay views share it by reference — mutate it in "
+            "frozen views share it by reference — mutate it in "
             "place instead",
         )
 
@@ -362,8 +362,8 @@ def _check_frozen_mutation(
                 "frozen-mutation",
                 f"calls .{stmt.value.func.attr}() on adopted column "
                 f"'{name}' in a frozen view; snapshots are immutable "
-                "after construction — write to the live store and let "
-                "the delta overlay carry it",
+                "after construction — write to the live store and "
+                "refreeze",
             )
         return
     targets: list[ast.expr] = []

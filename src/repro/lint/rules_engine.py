@@ -15,12 +15,12 @@ machine-checked for modules under ``repro/queries/``:
   full-scan accessor (slug ``raw-store``).  Point access stays
   sanctioned: subscripts (``graph.persons[pid]``), ``.get()``,
   ``in`` membership tests and ``len()``;
-* no import of :mod:`repro.graph.frozen` or :mod:`repro.graph.delta`
-  (slug ``frozen-import``) — the frozen columnar layout and its delta
-  overlay are engine-level optimisations, and a query that touches CSR
-  arrays, ordinal maps, or overlay insert/tombstone state directly
-  would produce layout-dependent results the frozen-vs-live
-  differential cannot protect.  Queries see the snapshot only through
+* no import of :mod:`repro.graph.frozen` or :mod:`repro.graph.snapfile`
+  (slug ``frozen-import``) — the frozen columnar layout and its mapped
+  file form are engine-level optimisations, and a query that touches
+  CSR arrays, ordinal maps or mapped column sections directly would
+  produce layout-dependent results the frozen-vs-live differential
+  cannot protect.  Queries see the snapshot only through
   the same ``SocialGraph`` accessor surface and engine operators as
   the live store.
 
@@ -63,10 +63,10 @@ def check_engine_discipline(ctx: FileContext) -> list[Diagnostic]:
                 ctx.diagnostic(
                     node, RULE, "frozen-import",
                     f"query code imports '{frozen_import}'; the frozen "
-                    "columnar layout and its delta overlay are "
+                    "columnar layout and its snapshot file are "
                     "engine-internal — write against SocialGraph "
                     "accessors and repro.engine operators, which take "
-                    "the frozen/overlay fast path automatically",
+                    "the frozen fast path automatically",
                 )
             )
             continue
@@ -101,12 +101,12 @@ def check_engine_discipline(ctx: FileContext) -> list[Diagnostic]:
 
 
 #: Engine-internal storage-layout modules queries must not import.
-_LAYOUT_MODULES = ("repro.graph.frozen", "repro.graph.delta")
+_LAYOUT_MODULES = ("repro.graph.frozen", "repro.graph.snapfile")
 
 
 def _frozen_import(node: ast.AST) -> str | None:
     """The offending module path if ``node`` imports a layout module
-    (:mod:`repro.graph.frozen` or :mod:`repro.graph.delta`)."""
+    (:mod:`repro.graph.frozen` or :mod:`repro.graph.snapfile`)."""
     if isinstance(node, ast.Import):
         for alias in node.names:
             for banned in _LAYOUT_MODULES:

@@ -18,8 +18,9 @@ only corrupt results under real parallelism:
   ``SocialGraph`` or ``FreezeManager`` (a snapshot-provider constructor
   — ``provide_snapshot``/``InlineSnapshot``/``MmapFileSnapshot``/
   ``SharedMemorySnapshot`` — over a live handle,
-  ``WorkerPool(snapshot=…)``, a live store in a ``Task`` payload).  Live stores carry position maps, write hooks and delta
-  overlays that must not cross the process boundary; workers get
+  ``WorkerPool(snapshot=…)``, a live store in a ``Task`` payload).
+  Live stores carry position maps and write state that must not cross
+  the process boundary; workers get
   ``provide_snapshot(freeze(graph))`` or ``manager.frozen()``
   (attach-by-path through a mapped provider is exactly as legal as the
   inline fork share).  The check is flow-sensitive and flags only

@@ -109,7 +109,7 @@ RAW_STORE_COLLECTIONS: frozenset[str] = frozenset(
 )
 
 
-#: Frozen/overlay column-family attributes of ``FrozenGraph`` (must
+#: Frozen column-family attributes of ``FrozenGraph`` (must
 #: equal the underscore-prefixed class-level annotations of
 #: ``repro.graph.frozen.FrozenGraph``).  R6 treats these — plus
 #: :data:`RAW_STORE_COLLECTIONS` and every container attribute a graph
@@ -137,9 +137,7 @@ FROZEN_COLUMN_FAMILIES: frozenset[str] = frozenset(
 
 #: Read-only snapshot view classes: their methods must never mutate the
 #: base columns or tables they adopted by reference.
-FROZEN_VIEW_CLASSES: frozenset[str] = frozenset(
-    {"FrozenGraph", "OverlaidGraph"}
-)
+FROZEN_VIEW_CLASSES: frozenset[str] = frozenset({"FrozenGraph"})
 
 #: Classes whose instances *are* graph views sharing tables by
 #: reference (live store included — its tables must be mutated in
@@ -155,8 +153,8 @@ LIVE_STORE_CONSTRUCTORS: frozenset[str] = frozenset(
     {"SocialGraph", "FreezeManager"}
 )
 
-#: Calls whose result is safe to ship to workers (frozen or overlay
-#: snapshots built for exactly that purpose).
+#: Calls whose result is safe to ship to workers (frozen snapshots
+#: built for exactly that purpose).
 SNAPSHOT_CONSTRUCTORS: frozenset[str] = frozenset({"freeze", "frozen"})
 
 #: Snapshot-provider constructors of the Snapshot API

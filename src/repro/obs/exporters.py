@@ -238,9 +238,6 @@ _HELP_TEXTS: dict[str, str] = {
     "repro_frozen_bytes": "Frozen-snapshot footprint per column family.",
     "repro_frozen_freezes_total": "Frozen snapshots built.",
     "repro_frozen_path_total": "Read tasks by snapshot serving path.",
-    "repro_delta_rows": "Delta-overlay insert rows outstanding.",
-    "repro_delta_tombstones": "Delta-overlay tombstones outstanding.",
-    "repro_delta_compactions_total": "Overlay-into-snapshot compactions.",
     "repro_snapshot_bytes_mapped": "Column bytes served zero-copy.",
     "repro_snapshot_attaches_total": "Snapshot attach events.",
     "repro_snapshot_fallback_total": "Mapped-snapshot requests served inline.",

@@ -11,7 +11,7 @@ when span tracing is live, prefixed with the active span path
 (``span:run/operation/task/operator``) so a flamegraph folds cleanly by
 benchmark phase.  Alongside the stacks, every tick records a
 :class:`~repro.obs.timeline.ResourceTimeline` sample (CPU, RSS, GC,
-snapshot/delta gauges).
+snapshot and frozen-layout gauges).
 
 Configuration is parsed in one place, mirroring
 ``repro.exec.snapshot.SnapshotConfig``: :class:`ProfileConfig` with

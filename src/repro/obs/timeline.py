@@ -13,7 +13,7 @@ snapshot/delta gauges:
 * ``gc_pause_seconds_total`` — cumulative stop-the-world GC pause time,
   measured by a ``gc.callbacks`` hook while the timeline is open;
 * every registry series whose name starts with a mirrored prefix
-  (``repro_snapshot_``, ``repro_delta_``, ``repro_frozen_``), so
+  (``repro_snapshot_``, ``repro_frozen_``), so
   memory-footprint and serving-path gauges line up on the same clock
   as the profiler's stacks.
 
@@ -62,7 +62,6 @@ FIXED_SERIES: tuple[str, ...] = (
 #: serialized series key).
 MIRRORED_PREFIXES: tuple[str, ...] = (
     "repro_snapshot_",
-    "repro_delta_",
     "repro_frozen_",
 )
 

@@ -114,6 +114,21 @@ class TestCompareGate:
                      "--history-dir", str(history)]) == 0
         assert "nothing to do" in capsys.readouterr().out
 
+    def test_archived_record_without_fresh_counterpart_is_ignored(
+        self, dirs, capsys
+    ):
+        # A retired experiment (e.g. BENCH_delta_overlay.json) keeps its
+        # archived baselines; with no fresh record it is never diffed.
+        bench, history = dirs
+        _write(bench, "BENCH_x.json", {"median_ms": 10.0})
+        _write(history, "BENCH_x.json.1", {"median_ms": 10.0})
+        _write(history, "BENCH_retired.json.1", {"median_ms": 1.0})
+        assert main(["--bench-dir", str(bench),
+                     "--history-dir", str(history), "--no-archive"]) == 0
+        out = capsys.readouterr().out
+        assert "retired" not in out
+        assert "1 record(s) within" in out
+
 
 class TestAttribution:
     def _seeded_regression(self, bench, history):

@@ -1,5 +1,7 @@
 """Tests for the CP-6.1 result cache and the §6.3 durability/recovery."""
 
+import stat
+
 import pytest
 
 from repro.datagen.delete_streams import build_delete_streams
@@ -257,6 +259,43 @@ class TestDurability:
         assert _fingerprint(recovered) == _fingerprint(
             _replayed(small_net, writes[:130])
         )
+
+    def test_checkpoint_fsynced_before_publish(
+        self, small_net, tmp_path, monkeypatch
+    ):
+        """The staging file reaches the disk before ``os.replace``
+        publishes it, and the directory entry is fsynced afterwards —
+        otherwise a power loss can leave a published but empty
+        checkpoint."""
+        sut = DurableSut(
+            SocialGraph.from_data(small_net, until=small_net.cutoff),
+            tmp_path,
+        )
+        events = []
+        real_fsync, real_replace = recovery.os.fsync, recovery.os.replace
+
+        def fsync(fd):
+            info = recovery.os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(info.st_mode) else "file"
+            events.append(("fsync", kind, info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", recovery.os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(recovery.os, "fsync", fsync)
+        monkeypatch.setattr(recovery.os, "replace", replace)
+        sut.checkpoint()
+        monkeypatch.undo()
+        sut.close()
+
+        staged = (tmp_path / recovery.CHECKPOINT_FILE).stat().st_ino
+        assert events == [
+            ("fsync", "file", staged),
+            ("replace", staged),
+            ("fsync", "dir", tmp_path.stat().st_ino),
+        ]
 
     def test_rejects_bad_interval(self, small_net, tmp_path):
         with pytest.raises(ValueError):

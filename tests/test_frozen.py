@@ -219,10 +219,10 @@ class TestFreezeLifecycle:
         live.delete_knows(edge.person1, edge.person2)
         second = manager.frozen()
         assert second is not first
-        # Merge-on-read: a small write yields an overlaid view of the
-        # same base snapshot, not a refreeze.
-        assert manager.freezes == 1
-        assert second.base_snapshot is first
+        # The write moved ``write_version`` past the cached snapshot,
+        # so the manager refroze; the new snapshot is cached in turn.
+        assert manager.freezes == 2
+        assert second.frozen_at_version == live.write_version
         assert manager.frozen() is second
 
     def test_invalidate_forces_rebuild(self, live):
@@ -233,15 +233,14 @@ class TestFreezeLifecycle:
         assert manager.freezes == 2
 
     def test_compaction_refreezes_and_sees_the_write(self, live):
-        # fraction 0.0: any outstanding overlay row triggers compaction,
-        # i.e. the pre-delta refreeze-on-write behaviour.
-        manager = FreezeManager(live, compact_fraction=0.0)
+        # Any write makes the next frozen() refreeze (through compact()),
+        # and the fresh columns hold the written state.
+        manager = FreezeManager(live)
         before = manager.frozen()
         edge = live.knows_edges[0]
         live.delete_knows(edge.person1, edge.person2)
         after = manager.frozen()
         assert manager.freezes == 2
-        assert manager.compactions == 1
         assert after.frozen_at_version == live.write_version
         ord1 = after._person_ord[edge.person1]
         lo, hi = after._knows_offsets[ord1], after._knows_offsets[ord1 + 1]
@@ -302,3 +301,54 @@ class TestPowerTestParity:
             frozen.operator_stats
         ) == self._order_invariant(live.operator_stats)
         assert sorted(frozen.runtimes) == sorted(live.runtimes)
+
+
+class TestReadPaths:
+    def test_refresh_reads_run_on_the_live_store(self, monkeypatch):
+        """With the default config the power test reads a frozen
+        snapshot, while the throughput test's reads, which interleave
+        with write microbatches, all run on the live store and never
+        freeze."""
+        from repro.core.api import SocialNetworkBenchmark
+        from repro.core.run import RunRequest
+        from repro.datagen.config import DatagenConfig
+        from repro.datagen.generator import generate
+
+        monkeypatch.delenv("REPRO_FROZEN", raising=False)
+        bench = SocialNetworkBenchmark(
+            generate(DatagenConfig(num_persons=300, seed=3))
+        )
+        metrics = registry()
+
+        def reading():
+            paths = {
+                path: metrics.counter(
+                    "repro_frozen_path_total", path=path
+                ).value
+                for path in ("frozen_hit", "live_fallback")
+            }
+            paths["freezes"] = metrics.counter(
+                "repro_frozen_freezes_total"
+            ).value
+            return paths
+
+        def since(before):
+            return {key: value - before[key] for key, value in reading().items()}
+
+        before = reading()
+        power = bench.run(RunRequest(workload="bi", mode="power"))
+        assert since(before) == {
+            "frozen_hit": power.exec_stats["tasks"],
+            "live_fallback": 0,
+            "freezes": 1,
+        }
+
+        before = reading()
+        refresh = bench.run(RunRequest(workload="bi", mode="throughput"))
+        reads = refresh.exec_stats["tasks"]
+        assert reads > 0
+        assert since(before) == {
+            "frozen_hit": 0,
+            "live_fallback": reads,
+            "freezes": 0,
+        }

@@ -1,8 +1,8 @@
 """The snapshot-aliasing invariant, end to end (R6's dynamic twin).
 
-``FrozenGraph`` adopts the live store's tables *by reference*; the
-delta-overlay lifecycle only works if every store mutator edits those
-tables in place — a mutator that rebinds a table (the old
+``FrozenGraph`` adopts the live store's tables *by reference*; freezing
+stays cheap and snapshots stay consistent only if every store mutator
+edits those tables in place — a mutator that rebinds a table (the old
 filtered-list-rebind idiom) silently forks the snapshot from the live
 store: the frozen view keeps serving the stale object while the store
 moves on.
@@ -16,7 +16,6 @@ acceptance pairing for the R6 analyzer.
 
 from __future__ import annotations
 
-from repro.graph.delta import OverlaidGraph
 from repro.graph.frozen import FreezeManager, freeze
 from repro.lint import lint_source
 
@@ -46,22 +45,25 @@ class TestFrozenAliasingRegression:
             snapshot._forum_posts_by_date is b.graph._forum_posts_by_date
         )
 
-    def test_delete_post_keeps_overlay_view_on_live_tables(self):
-        """Freeze, delete, re-read: the overlay view must still see the
-        *same* live table objects — in-place removal, no rebinds."""
+    def test_delete_post_keeps_views_on_live_tables(self):
+        """Freeze, delete, refreeze: the old and the new snapshot must
+        both still see the *same* live table objects — in-place
+        removal, no rebinds."""
         b, forum, doomed, _ = _loaded_builder()
         manager = FreezeManager(b.graph)
-        manager.frozen()  # build the snapshot before the write
+        stale = manager.frozen()  # build the snapshot before the write
 
         posts_table = b.graph.posts
         dated = b.graph._forum_posts_by_date[forum]
         b.graph.delete_post(doomed)
 
         view = manager.frozen()
-        assert isinstance(view, OverlaidGraph)
+        assert view is not stale and manager.freezes == 2
         # identity: the delete mutated the shared objects in place.
         assert b.graph.posts is posts_table
         assert b.graph._forum_posts_by_date[forum] is dated
+        assert stale.posts is posts_table
+        assert stale._forum_posts_by_date[forum] is dated
         assert view.posts is posts_table
         assert view._forum_posts_by_date[forum] is dated
         # and the removal is visible through the shared date list.

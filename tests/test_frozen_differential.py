@@ -65,14 +65,10 @@ def bulk_phase(tiny_net, tiny_config):
 def mutated_phase(tiny_net, tiny_config):
     """``(live, refrozen, params)`` after a shuffled interleaved
     insert/delete stream moved ``write_version`` past an earlier
-    snapshot and forced the FreezeManager to rebuild.
-
-    ``compact_fraction=0.0`` pins the manager to its pre-delta
-    refreeze-on-write behaviour so this phase keeps exercising a *full*
-    rebuild from a mutated store; the overlay merge path has its own
-    differential in ``tests/test_delta_overlay.py``."""
+    snapshot and forced the FreezeManager to rebuild from the mutated
+    store."""
     live = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
-    manager = FreezeManager(live, compact_fraction=0.0)
+    manager = FreezeManager(live)
     stale = manager.frozen()
     ops = [("insert", op) for op in build_update_streams(tiny_net)]
     ops += [("delete", op) for op in build_delete_streams(tiny_net)]

@@ -227,20 +227,20 @@ class TestR2EngineDiscipline:
             (1, "R2", "frozen-import")
         ]
 
-    def test_delta_import_flagged(self):
-        src = "from repro.graph.delta import DeltaOverlay\n"
+    def test_snapfile_import_flagged(self):
+        src = "from repro.graph.snapfile import attach\n"
         assert slugs_at(lint_source(QUERY_PATH, src)) == [
             (1, "R2", "frozen-import")
         ]
 
-    def test_delta_module_import_flagged(self):
-        src = "import repro.graph.delta\n"
+    def test_snapfile_module_import_flagged(self):
+        src = "import repro.graph.snapfile\n"
         assert slugs_at(lint_source(QUERY_PATH, src)) == [
             (1, "R2", "frozen-import")
         ]
 
-    def test_delta_via_package_import_flagged(self):
-        src = "from repro.graph import delta\n"
+    def test_snapfile_via_package_import_flagged(self):
+        src = "from repro.graph import snapfile\n"
         assert slugs_at(lint_source(QUERY_PATH, src)) == [
             (1, "R2", "frozen-import")
         ]
@@ -253,8 +253,8 @@ class TestR2EngineDiscipline:
         src = "from repro.graph.frozen import freeze\n"
         assert lint_source(PLAIN_PATH, src) == []
 
-    def test_delta_import_outside_queries_allowed(self):
-        src = "from repro.graph.delta import DeltaOverlay\n"
+    def test_snapfile_import_outside_queries_allowed(self):
+        src = "from repro.graph.snapfile import attach\n"
         assert lint_source(PLAIN_PATH, src) == []
 
 
@@ -629,7 +629,7 @@ class TestR6SnapshotAliasing:
 
     def test_frozen_mutation_via_local_alias_flagged(self):
         src = (
-            "class OverlaidGraph:\n"
+            "class FrozenGraph:\n"
             "    def patch(self, key, value):\n"
             "        ordinals = self._msg_ord\n"
             "        ordinals[key] = value\n"
@@ -1163,11 +1163,11 @@ class TestSpecTranscriptionsInSync:
         assert FROZEN_COLUMN_FAMILIES == annotated
 
     def test_graph_view_classes_exist(self):
-        from repro.graph import delta, frozen, store
+        from repro.graph import frozen, store
 
         for name in GRAPH_VIEW_CLASSES:
             assert any(
-                hasattr(module, name) for module in (store, frozen, delta)
+                hasattr(module, name) for module in (store, frozen)
             ), name
 
     @pytest.mark.parametrize(

@@ -145,29 +145,3 @@ class TestMappedFile:
         mapped = open_snapshot(path)
         mapped.close()
         mapped.close()
-
-
-class TestLiveViewsRejected:
-    def test_overlaid_view_rejected(self, tiny_net):
-        from repro.datagen.update_streams import build_update_streams
-        from repro.graph.frozen import FreezeManager
-        from repro.graph.store import SocialGraph
-        from repro.queries.interactive.updates import ALL_UPDATES
-
-        live = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
-        manager = FreezeManager(live)
-        try:
-            base = manager.frozen()
-            for op in build_update_streams(tiny_net)[:5]:
-                try:
-                    ALL_UPDATES[op.operation_id][0](live, op.params)
-                except (KeyError, ValueError):
-                    pass
-            overlaid = manager.frozen()
-            assert overlaid.delta_overlay is not None
-            with pytest.raises(ValueError):
-                snapshot_bytes(overlaid)
-            # The clean base stays serializable either way.
-            assert snapshot_bytes(base)
-        finally:
-            manager.detach()

@@ -7,13 +7,12 @@ Covers the four satellite contracts of the redesign:
 * :func:`provide_snapshot` degrades to inline — visibly, via the
   ``repro_snapshot_fallback_total`` counter — when handed a live graph;
 * mapped ship tokens are self-contained: the payload carries only
-  buffer coordinates, the overlay and the task context — zero
-  object-state pickle bytes — and workers rebuild the entity store
-  from the snapfile's ``__entities__`` section;
+  buffer coordinates and the task context — zero object-state pickle
+  bytes — and workers rebuild the entity store from the snapfile's
+  ``__entities__`` section;
 * the mapped providers survive ``ship()`` → ``pickle`` →
-  ``materialize()`` with row-identical reads, including an overlaid
-  (dirty-manager) snapshot whose deltas must ride along with the
-  mapped base — the full 25 BI + 14 IC differential runs the
+  ``materialize()`` with row-identical reads — the full 25 BI + 14 IC
+  differential runs the
   entity-section rebuild against the parent's object-state view,
   plus a ``spawn``-method pool leg that cold-starts from the file
   alone.
@@ -31,7 +30,6 @@ from repro.exec import (
     Task,
 )
 from repro.exec.snapshot import (
-    ENV_COMPACT_FRACTION,
     ENV_FROZEN,
     ENV_PROVIDER,
     InlineSnapshot,
@@ -41,14 +39,13 @@ from repro.exec.snapshot import (
     SnapshotHandle,
     provide_snapshot,
 )
-from repro.graph.frozen import FreezeManager, freeze
-from repro.graph.store import SocialGraph
+from repro.graph.frozen import freeze
 from repro.obs.metrics import registry
 
 
 @pytest.fixture()
 def clean_env(monkeypatch):
-    for name in (ENV_PROVIDER, ENV_FROZEN, ENV_COMPACT_FRACTION):
+    for name in (ENV_PROVIDER, ENV_FROZEN):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -58,16 +55,13 @@ class TestSnapshotConfig:
         resolved = SnapshotConfig().resolved()
         assert resolved.provider == "inline"
         assert resolved.freeze is True
-        assert resolved.compact_fraction == 0.25
 
     def test_environment_fallbacks(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "mmap_file")
         clean_env.setenv(ENV_FROZEN, "0")
-        clean_env.setenv(ENV_COMPACT_FRACTION, "0.5")
         resolved = SnapshotConfig().resolved()
         assert resolved.provider == "mmap_file"
         assert resolved.freeze is False
-        assert resolved.compact_fraction == 0.5
 
     def test_explicit_knobs_beat_environment(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "shared_memory")
@@ -83,23 +77,12 @@ class TestSnapshotConfig:
         with pytest.raises(ValueError, match="provider"):
             SnapshotConfig().resolved()
 
-    def test_invalid_numbers_rejected(self, clean_env):
-        with pytest.raises(ValueError):
-            SnapshotConfig(compact_fraction=-0.1).resolved()
-
     def test_configuration_dict(self, clean_env):
         document = SnapshotConfig(provider="mmap_file").configuration_dict()
         assert document == {
             "provider": "mmap_file",
             "freeze": True,
-            "compact_fraction": 0.25,
         }
-
-    def test_compact_fraction_resolver_delegates_here(self, clean_env):
-        from repro.graph.delta import resolve_compact_fraction
-
-        clean_env.setenv(ENV_COMPACT_FRACTION, "0.75")
-        assert resolve_compact_fraction(None) == 0.75
 
 
 class TestProvideSnapshot:
@@ -143,8 +126,7 @@ class TestSelfContainedShip:
     def test_ship_payload_has_zero_object_state_bytes(
         self, tiny_graph, clean_env, provider
     ):
-        """The ship token is buffer coordinates + overlay + context
-        only: no pickled store travels, and the stub stays thousands of
+        """The ship token is buffer coordinates + context only: no pickled store travels, and the stub stays thousands of
         times smaller than the entity state it replaces."""
         frozen = freeze(tiny_graph)
         handle = provide_snapshot(
@@ -154,10 +136,9 @@ class TestSelfContainedShip:
             token = handle.ship()
             coordinate = "path" if provider == "mmap_file" else "shm_name"
             assert set(token.payload) == {
-                coordinate, "overlay", "context", "origin_pid"
+                coordinate, "context", "origin_pid"
             }
             assert "state" not in token.payload
-            assert token.payload["overlay"] is None
             stub_bytes = len(pickle.dumps(token))
             gauges = registry()
             assert gauges.gauge(
@@ -208,55 +189,6 @@ class TestShipMaterialize:
         attached = handle.ship().materialize()
         assert attached.graph is tiny_graph
         assert attached.context == {"k": 1}
-
-
-class TestOverlayCarry:
-    def test_dirty_manager_snapshot_maps_base_and_ships_overlay(
-        self, tiny_net, tiny_config
-    ):
-        """An overlaid view must NOT silently fall back to the live
-        path: the clean base columns map, the overlay pickles beside
-        them, and a worker's reads match the parent's."""
-        from repro.datagen.update_streams import build_update_streams
-        from repro.params.curation import ParameterGenerator
-        from repro.queries.bi import ALL_QUERIES
-        from repro.queries.interactive.updates import ALL_UPDATES
-
-        live = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
-        manager = FreezeManager(live)
-        try:
-            manager.frozen()
-            for op in build_update_streams(tiny_net)[:25]:
-                try:
-                    ALL_UPDATES[op.operation_id][0](live, op.params)
-                except (KeyError, ValueError):
-                    pass
-            overlaid = manager.frozen()
-            assert overlaid.delta_overlay is not None
-            handle = provide_snapshot(
-                overlaid, config=SnapshotConfig(provider="mmap_file")
-            )
-            try:
-                assert isinstance(handle, MmapFileSnapshot)
-                attached = pickle.loads(
-                    pickle.dumps(handle.ship())
-                ).materialize()
-                try:
-                    params = ParameterGenerator(live, tiny_config)
-                    for number in (1, 4, 9, 18):
-                        for binding in params.bi(number, count=1):
-                            binding = tuple(binding)
-                            query = ALL_QUERIES[number][0]
-                            assert (
-                                query(attached.graph, *binding)
-                                == query(overlaid, *binding)
-                            ), number
-                finally:
-                    attached.close()
-            finally:
-                handle.close()
-        finally:
-            manager.detach()
 
 
 class TestFullDifferential:
